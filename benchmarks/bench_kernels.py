@@ -1,18 +1,17 @@
-"""E-KERNELS — the codegen kernel tier vs the vectorized interpreter
-(PR 8, ROADMAP item 5).
+"""E-KERNELS — the codegen kernel rung vs the bitmask rung
+(ROADMAP item 5).
 
-One workload, four rungs: the randlogic single-fault universe (shared
-with bench_campaigns) classified by the scalar bitmask path, the
-pure-Python packed fallback, the NumPy vectorized backend, and the
-program-specialized kernel tier.  The gate asserts statuses are
-byte-identical across all four and that the kernel's steady-state sweep
-beats the vectorized backend by at least ``MIN_KERNEL_SPEEDUP`` —
-measured on whichever tier is live (the exec'd-NumPy rung alone must
-hold the floor; Numba, when importable, only raises it).
+One workload, three runs: the randlogic single-fault universe (shared
+with bench_campaigns) classified by the scalar bitmask rung (Python
+ints), the program-specialized kernel rung, and the kernel again on a
+tiled word axis.  The gate asserts statuses are byte-identical across
+all three and that the kernel's steady-state sweep beats the bitmask
+rung by at least ``MIN_KERNEL_SPEEDUP`` — measured on whichever tier is
+live (the exec'd-NumPy rung alone must hold the floor; Numba, when
+importable, only raises it).
 
 The cold first sweep (kernel generation included) is reported but not
-gated: auto-selection already accounts for it by keeping circuits at or
-below 12 inputs on the vectorized rung.
+gated.
 """
 
 import time
@@ -31,13 +30,16 @@ import random
 
 from repro import obs
 from repro.engine import FaultSweep, engine_for
-from repro.engine.vectorized import HAVE_NUMPY
+from repro.engine.vectorized import HAVE_NUMPY, chunk_statuses
 from repro.workloads.randomlogic import random_mixed_network
 
-#: The PR's floor: the kernel tier's steady-state randlogic sweep must
-#: beat the vectorized backend by at least this factor (measured ~2.4x
-#: to 3.0x on the exec'd-NumPy rung).
+#: The floor: the kernel rung's steady-state randlogic sweep must beat
+#: the bitmask rung on the same circuit by at least this factor.
 MIN_KERNEL_SPEEDUP = 2.0
+
+#: Words per mirror half-tile of the tiled kernel run (the 12-input
+#: table has 64 words, so this makes 4 slabs).
+TILED_WORDS = 8
 
 #: Steady-state timings are best-of-N to damp scheduler noise.
 ROUNDS = 5
@@ -70,47 +72,44 @@ def kernels_report():
         scalar = [
             s for _, s in sweep.sweep(universe, backend="bitmask")
         ]
-        fallback = [
-            s for _, s in sweep.sweep(universe, backend="fallback")
-        ]
+        bitmask_seconds = _best_of(
+            lambda: chunk_statuses(eng, universe, "bitmask")
+        )
         if HAVE_NUMPY:
             from repro.engine.kernels import HAVE_NUMBA, KernelBackend
 
-            vec = eng.vectorized
-            vectorized = vec.sweep_statuses(universe)
-            vec_seconds = _best_of(
-                lambda: vec.sweep_statuses(universe)
-            )
-
             start = time.perf_counter()
-            kern = KernelBackend(eng.compiled, vectorized=vec)
+            kern = KernelBackend(eng.compiled)
             kernel_statuses = kern.sweep_statuses(universe)
             cold_seconds = time.perf_counter() - start
             kern_seconds = _best_of(
                 lambda: kern.sweep_statuses(universe)
             )
+            tiled_statuses = KernelBackend(
+                eng.compiled, tile_words=TILED_WORDS
+            ).sweep_statuses(universe)
             cache = kern.cache_stats()
             tier = "numba" if (HAVE_NUMBA and kern.use_numba) else "numpy"
         else:
-            vectorized = kernel_statuses = scalar
-            vec_seconds = kern_seconds = cold_seconds = 0.0
+            kernel_statuses = tiled_statuses = scalar
+            kern_seconds = cold_seconds = 0.0
             cache = {"kernels": 0, "blocks": 0, "tiles": 0}
             tier = "unavailable"
     finally:
         obs.enable_metrics(was_enabled)
 
-    identical = scalar == fallback == vectorized == kernel_statuses
-    speedup = vec_seconds / kern_seconds if kern_seconds > 0 else 0.0
+    identical = scalar == kernel_statuses == tiled_statuses
+    speedup = bitmask_seconds / kern_seconds if kern_seconds > 0 else 0.0
     counts = Counter(scalar)
     lines = [
-        "Program-specialized kernel tier vs vectorized interpreter "
+        "Program-specialized kernel rung vs bitmask rung "
         f"({RANDLOGIC_INPUTS} inputs, {RANDLOGIC_GATES} gates, "
         f"{len(universe)} live faults)",
         f"  statuses: {counts['detected']} detected, "
         f"{counts['silent']} silent, {counts['dangerous']} dangerous",
-        f"  byte-identical across scalar/fallback/vectorized/kernel: "
+        f"  byte-identical across bitmask/kernel/kernel tiled: "
         f"{identical}",
-        f"  vectorized steady-state:  {vec_seconds * 1e3:8.2f} ms",
+        f"  bitmask steady-state:     {bitmask_seconds * 1e3:8.2f} ms",
         f"  kernel steady-state:      {kern_seconds * 1e3:8.2f} ms   "
         f"({speedup:.2f}x, floor {MIN_KERNEL_SPEEDUP:.1f}x)",
         f"  kernel cold (codegen in): {cold_seconds * 1e3:8.2f} ms   "
@@ -129,7 +128,7 @@ def kernels_report():
         # the live tier (numpy/numba) is in the text report only: it
         # legitimately differs between the CI numba job and the plain
         # job, and --check compares non-timing metrics exactly
-        "kernels_vectorized_seconds": vec_seconds,
+        "kernels_bitmask_seconds": bitmask_seconds,
         "kernels_kernel_seconds": kern_seconds,
         "kernels_cold_seconds": cold_seconds,
         "kernels_speedup": speedup,
@@ -148,6 +147,7 @@ def test_kernels(benchmark):
         elapsed=benchmark_elapsed(benchmark),
     )
     assert ok, (
-        "statuses diverged across rungs or kernel speedup below "
+        "statuses diverged across runs or kernel speedup over bitmask "
+        "below "
         f"{MIN_KERNEL_SPEEDUP}x: {metrics}"
     )

@@ -9,9 +9,9 @@ Point the thesis's machinery at any ``.bench`` netlist:
 * ``minority``  — convert a NAND/NOR netlist to minority modules;
 * ``dot``       — Graphviz export with the failing lines highlighted;
 * ``faulttable``— a Figure 3.6-style fault table for chosen lines;
-* ``campaign``  — a bulk single-fault coverage sweep through the
-  backend-selection heuristic (bitmask / vectorized / fallback /
-  kernel) under the supervised runtime (``--timeout``,
+* ``campaign``  — a bulk single-fault coverage sweep on one of two
+  rungs (bitmask for one-word tables or without NumPy, the codegen
+  kernel otherwise) under the supervised runtime (``--timeout``,
   ``--checkpoint``/``--resume``, ``--report``);
 * ``atpg``      — fault-dropping PODEM campaign: guided search per
   target, batched candidate completions simulated against the whole
@@ -54,6 +54,7 @@ from .core.design import make_self_checking
 from .core.report import fault_table, render_fault_table, undetected_faults
 from .core.simulate import ScalSimulator
 from .core.testgen import all_test_pairs, format_pair
+from .engine.campaign import SWEEP_BACKENDS
 from .logic.benchfmt import load_bench, save_bench
 from .logic.faults import StuckAt
 from .logic.render import annotate_with_analysis, render_dot, render_listing
@@ -537,15 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="bulk single-fault coverage sweep (heuristic backend choice)",
+        help="bulk single-fault coverage sweep (auto rung choice)",
     )
     p.add_argument("netlist")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "bitmask", "vectorized", "fallback",
-                            "kernel"],
-                   help="sweep backend (default: auto heuristic; kernel "
-                   "= codegen'd specialized sweep kernels, degrades to "
-                   "vectorized/fallback when unavailable)")
+    p.add_argument("--backend", default="auto", choices=SWEEP_BACKENDS,
+                   help="sweep rung (default: auto — bitmask for tables "
+                   "of at most 6 inputs or without NumPy, kernel "
+                   "otherwise; kernel = codegen'd fault-block kernels at "
+                   "any width)")
     p.add_argument("--processes", type=int, default=None,
                    help="fan out across this many supervised worker lanes")
     p.add_argument("--transport", default="auto",

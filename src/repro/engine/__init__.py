@@ -7,7 +7,9 @@ their :class:`~repro.logic.network.Network` once (into the flat,
 integer-indexed op program of :mod:`repro.engine.compiled`) and then
 simulate many times through one of three interchangeable backends:
 
-* **bitmask** — word-parallel truth-table masks (exhaustive sweeps),
+* **bitmask** — word-parallel truth-table masks (exhaustive queries;
+  the codegen :mod:`repro.engine.kernels` rung takes over exhaustive
+  fault sweeps wider than one word),
 * **pointwise** — one assignment at a time with a baseline-point cache
   (sequential clocked simulation),
 * **sampled** — pointwise over explicit truth-table points (spaces too
@@ -19,8 +21,8 @@ in-place mutation must raise) and re-simulate only the injected fault's
 output cone; :mod:`repro.engine.campaign` batches that into multi-fault
 sweep drivers with optional fan-out across pluggable execution
 transports (:mod:`repro.engine.transport`), and the content-addressed
-:data:`repro.engine.store.STORE` lets identical compiled programs share
-derived artifacts across requests.
+:data:`repro.engine.store.STORE` lets repeated requests replay their
+results.
 
 Usage::
 
@@ -83,12 +85,12 @@ class NetworkEngine:
     """One network's compiled form plus its shared backends.
 
     The pointwise/sampled scalar backends are always built; the
-    exhaustive :attr:`bitmask` backend and the fault-batched block
-    backends (:attr:`packed`, :attr:`vectorized`, :attr:`kernel`) are
-    constructed lazily on first use — so engines for small one-off
+    exhaustive :attr:`bitmask` backend, the :attr:`kernel` sweep rung
+    and ATPG's pattern backends (:attr:`packed`, :attr:`vectorized`)
+    are constructed lazily on first use — so engines for small one-off
     queries pay nothing, and engines for circuits beyond the
     :data:`~repro.engine.backends.MAX_BITMASK_INPUTS` exhaustive
-    ceiling can still serve the sampled/vectorized paths (touching
+    ceiling can still serve the sampled and kernel paths (touching
     ``.bitmask`` there raises ``ValueError`` instead of attempting the
     2^n-bit allocation).
     """
@@ -116,31 +118,27 @@ class NetworkEngine:
 
     @property
     def packed(self) -> PackedFallbackBackend:
-        """The pure-Python packed-word block backend (shares the bitmask
-        backend's baseline — always available)."""
+        """The pure-Python classifier and pattern backend (shares the
+        bitmask backend's baseline — always available)."""
         if self._packed is None:
             self._packed = PackedFallbackBackend(self.compiled, self.bitmask)
         return self._packed
 
     @property
     def vectorized(self) -> Optional["VectorizedBackend"]:
-        """The NumPy PPSFP block backend, or ``None`` without NumPy."""
+        """ATPG's NumPy pattern backend, or ``None`` without NumPy."""
         if self._vectorized is None and HAVE_NUMPY:
             self._vectorized = VectorizedBackend(self.compiled)
         return self._vectorized
 
     @property
     def kernel(self) -> Optional["KernelBackend"]:
-        """The codegen'd specialized-kernel tier, or ``None`` when NumPy
-        is absent or the circuit exceeds its full-table input ceiling
-        (:data:`~repro.engine.vectorized.KERNEL_MAX_INPUTS`)."""
+        """The codegen'd kernel sweep rung (any width), or ``None``
+        when NumPy is absent."""
         if self._kernel is None and HAVE_NUMPY:
             from .kernels import KernelBackend
 
-            if self.compiled.n_inputs <= KERNEL_MAX_INPUTS:
-                self._kernel = KernelBackend(
-                    self.compiled, vectorized=self.vectorized
-                )
+            self._kernel = KernelBackend(self.compiled)
         return self._kernel
 
 

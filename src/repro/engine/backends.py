@@ -38,9 +38,8 @@ POINT_CACHE_LIMIT = 1 << 16
 #: Exhaustive big-int masks are ``2**n`` bits *per line*; beyond this
 #: many inputs even the all-ones ``full`` mask is a multi-gigabyte
 #: allocation, so :class:`BitmaskBackend` refuses with ``ValueError``
-#: instead of attempting the OOM.  Wider circuits use the sampled /
-#: vectorized (chunked) paths, which never materialize ``2**n`` bits
-#: at once.
+#: instead of attempting the OOM.  Wider circuits use the sampled and
+#: kernel paths (the kernel streams wide tables one slab at a time).
 MAX_BITMASK_INPUTS = 25
 
 # Telemetry: per-backend work counters.  Hot paths hoist the enabled
@@ -64,7 +63,7 @@ class BitmaskBackend:
                 f"BitmaskBackend: {compiled.n_inputs} inputs exceeds the "
                 f"{MAX_BITMASK_INPUTS}-input exhaustive ceiling (a "
                 f"2**{compiled.n_inputs}-bit mask per line); use the "
-                "sampled or vectorized backends for wide circuits"
+                "sampled or kernel backends for wide circuits"
             )
         self.compiled = compiled
         self.full = (1 << (1 << compiled.n_inputs)) - 1
@@ -81,9 +80,7 @@ class BitmaskBackend:
         consumer must raise instead of silently corrupting every other
         sweep on the same network.  Faulty queries copy it
         (:meth:`line_bits`); the lock makes first-derivation safe under
-        the server's worker threads.  When the process-wide artifact
-        store is enabled, identical compiled programs (by content
-        fingerprint) share one derivation.
+        the server's worker threads.
         """
         if self._baseline is None:
             with self._baseline_lock:
@@ -92,14 +89,6 @@ class BitmaskBackend:
         return self._baseline
 
     def _derive_baseline(self) -> Tuple[int, ...]:
-        from .store import STORE, program_fingerprint
-
-        fingerprint = None
-        if STORE.enabled:
-            fingerprint = program_fingerprint(self.compiled)
-            cached = STORE.get("baseline", fingerprint)
-            if cached is not None:
-                return cached
         comp = self.compiled
         n = comp.n_inputs
         values: List[int] = [0] * len(comp.names)
@@ -124,10 +113,7 @@ class BitmaskBackend:
             _M_WORDS.inc(
                 len(comp.ops) * self._words_per_line, backend="bitmask"
             )
-        frozen = tuple(values)
-        if fingerprint is not None:
-            STORE.put("baseline", fingerprint, value=frozen)
-        return frozen
+        return tuple(values)
 
     def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
         """Masks for every line under ``fault`` (cone-pruned re-simulation

@@ -15,15 +15,15 @@ The SCAL pair-level classification lives here in raw-integer form (the
 * **violations** — pairs where some output is wrong yet every output
   alternates: the undetected fault-secure violation of Theorem 3.1.
 
-Bulk sweeps route through a backend-selection heuristic
-(:func:`~repro.engine.vectorized.select_backend`): small batches stay on
-the scalar big-int path, large ones go to the fault-batched vectorized
-backend (NumPy PPSFP, or its pure-Python packed fallback).  Execution —
-serial or fanned out across supervised workers on a pluggable transport
-(fork pipes, shared-memory fork, or ``repro worker`` sockets) with
-per-chunk timeouts, retries, work stealing, checkpoint/resume, and the
-explicit socket → fork+shm → fork → serial → scalar degradation ladder —
-is delegated to
+Bulk sweeps route through one selection rule
+(:func:`~repro.engine.vectorized.select_backend`): one-word tables
+(and every table without NumPy) stay on the scalar big-int ``bitmask``
+rung, wider ones run the codegen'd fault-block ``kernel`` rung.
+Execution — serial or fanned out across supervised workers on a
+pluggable transport (fork pipes, shared-memory fork, or ``repro
+worker`` sockets) with per-chunk timeouts, retries, work stealing,
+checkpoint/resume, and the explicit socket → fork+shm → fork → serial
+→ scalar degradation ladder — is delegated to
 :func:`repro.engine.supervisor.run_campaign`; every sweep leaves a
 structured :class:`~repro.engine.supervisor.CampaignReport` in
 :attr:`FaultSweep.last_report`.
@@ -62,7 +62,7 @@ class ResponseBits:
 
 
 #: Backend names accepted by :meth:`FaultSweep.sweep`.
-SWEEP_BACKENDS = ("auto", "bitmask", "vectorized", "fallback", "kernel")
+SWEEP_BACKENDS = ("auto", "bitmask", "kernel")
 
 
 class FaultSweep:
@@ -92,7 +92,7 @@ class FaultSweep:
     @property
     def bitmask(self):
         """The engine's exhaustive backend, built lazily — wide-input
-        sweeps (sampled/vectorized paths) never pay or risk the 2^n-bit
+        sweeps (sampled/kernel paths) never pay or risk the 2^n-bit
         allocation, and touching this on a >MAX_BITMASK_INPUTS circuit
         raises the backend's clear ``ValueError``."""
         return self.engine.bitmask
@@ -137,12 +137,8 @@ class FaultSweep:
                 f"unknown sweep backend {backend!r}; "
                 f"expected one of {SWEEP_BACKENDS}"
             )
-        if backend == "auto":
+        if backend == "auto" or not HAVE_NUMPY:
             backend = select_backend(self.n, n_faults)
-        if backend == "kernel" and self.engine.kernel is None:
-            backend = "vectorized"
-        if backend == "vectorized" and not HAVE_NUMPY:
-            backend = "fallback"
         return backend
 
     def _statuses(self, universe: Sequence[FaultLike], backend: str) -> List[str]:
@@ -166,13 +162,10 @@ class FaultSweep:
     ) -> List[Tuple[FaultLike, str]]:
         """Classify every fault under the supervised campaign runtime.
 
-        ``backend`` is ``auto`` (the :func:`select_backend` heuristic),
-        ``bitmask`` (scalar big-int masks), ``vectorized`` (NumPy
-        fault-batched; degrades to ``fallback`` without NumPy),
-        ``kernel`` (codegen'd specialized sweep kernels; degrades to
-        ``vectorized``/``fallback`` when NumPy is absent or the circuit
-        exceeds the kernel input ceiling), or ``fallback`` (pure-Python
-        packed words).  ``transport`` picks the
+        ``backend`` is ``auto`` (the :func:`select_backend` rule),
+        ``bitmask`` (scalar big-int masks), or ``kernel`` (codegen'd
+        fault-block kernels; resolved to ``bitmask`` when NumPy is
+        absent).  ``transport`` picks the
         execution fabric (``auto`` / ``inline`` / ``fork`` / ``fork+shm``
         / ``socket`` — see :mod:`repro.engine.transport`).  With
         ``processes > 1`` (or an explicit worker transport) the universe

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..logic.faults import Fault, MultipleFault, fault_overrides
 from ..logic.gates import GateKind
 from ..logic.network import Network
-from ..logic.truthtable import _complement_permutation
 
 FaultLike = Union[Fault, MultipleFault]
 
@@ -200,13 +199,8 @@ def reflect_bits(bits: int, n: int) -> int:
     """Permute a ``2**n``-bit truth-table mask by complementing indices.
 
     The raw-integer form of :meth:`TruthTable.co_reflect` — the SCAL
-    ``X → X̄`` pairing — for engine paths that avoid table objects.
+    ``X → X̄`` pairing.  Complementing all ``n`` index bits maps point
+    ``i`` to ``2**n - 1 - i``, so the pairing is a reversal of the whole
+    ``2**n``-bit string: one linear pass, not one big-int OR per bit.
     """
-    perm = _complement_permutation(n)
-    out = 0
-    m = bits
-    while m:
-        low = m & -m
-        out |= 1 << perm[low.bit_length() - 1]
-        m ^= low
-    return out
+    return int(format(bits, f"0{1 << n}b")[::-1], 2)

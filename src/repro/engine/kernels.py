@@ -1,12 +1,7 @@
-"""Program-specialized kernel tier: codegen'd fused sweep kernels.
+"""Codegen'd fault-block sweep kernels: the NumPy exhaustive sweep rung.
 
-The vectorized backend removed the *per-fault* interpreter cost, but its
-inner loop still pays per-gate dispatch: every scheduled op walks the
-``GateKind`` ladder in :func:`~repro.engine.vectorized._eval_words`,
-rebuilds operand lists, and consults fanout bookkeeping dicts — on every
-pass of every sweep.  This module removes that layer too.
-
-For each **block signature** — the union of a fault block's cone-pruned
+Every exhaustive SCAL sweep wider than one 64-bit word runs here.  For
+each **block signature** — the union of a fault block's cone-pruned
 schedules, the set of stem-forced lines, and the set of forced
 ``(op, slot)`` pins — a specialized straight-line Python function is
 *generated as source* and ``exec``'d once:
@@ -20,20 +15,32 @@ schedules, the set of stem-forced lines, and the set of forced
 * **dead-line elimination** drops every scheduled op (and forced line)
   that cannot reach an output, and **constant folding** collapses
   CONST-fed subexpressions (an AND with a constant-0 side input folds to
-  a constant, all the way through the cone), and
-* the SCAL pair classification is fused into the same function: baseline
-  contributions of the outputs the block cannot touch are folded into
-  per-signature seed constants (their detection mask, if nonzero, makes
-  detection constant-true for the whole block — no per-output work).
+  a constant, all the way through the cone),
+* the SCAL pair classification is fused into the same function, each
+  output folded into the running masks right after it is computed;
+  outputs the block cannot touch contribute per-slab baseline seeds
+  (their detection, if any, makes detection constant-true for the whole
+  block — no per-output work), and
+* every line value is ``del``'d after its last use, so a call's live
+  memory is the signature's widest cut, not its whole cone.
 
-The generated kernel takes the cached fault-free baseline line arrays as
-inputs and computes *only* the block's live cone, so a whole-circuit
-pass is one chain of native NumPy calls.  Kernels are cached per
-``(program fingerprint, signature)`` — in-process and, when the
-content-addressed :data:`~repro.engine.store.STORE` is enabled, across
-engines of identical programs.  Prepared per-block argument tuples are
-cached too, so steady-state sweeps (the synthesis-campaign fitness shape:
-the same universe swept millions of times) skip all set-up.
+Line values are packed ``uint64`` words (bit ``p & 63`` of word
+``p >> 6`` is input point ``p`` — the repo-wide bit order, re-chunked)
+with the fault block along a second axis.  The word axis is cut into
+L2-sized **mirror slabs** (words ``[lo, lo+K)`` together with
+``[W-lo-K, W-lo)`` — a set closed under the ``X ↔ X̄`` word reflection,
+so alternation stays local to the slab).  Each slab carries its own
+fault-free baseline, computed from the slab's word indices alone.  Up to
+:data:`~repro.engine.vectorized.KERNEL_MAX_INPUTS` inputs the slab
+baselines are cached for the backend's lifetime; wider tables **stream**
+them — each slab's baseline is built, swept by every block, and dropped —
+so live memory is a slab, not the table, and there is no input ceiling.
+Slabs run on a shared :class:`ThreadPoolExecutor` (NumPy releases the
+GIL on large array ops).
+
+Kernels and prepared blocks (forcing columns) are cached per backend;
+engines are shared per network (:func:`repro.engine.engine_for`), so
+repeated sweeps skip all set-up.
 
 When Numba is importable the exec'd function is additionally
 ``njit(nopython, parallel)``-wrapped behind a feature probe; a kernel
@@ -41,42 +48,40 @@ whose typing Numba rejects (the bit-reversal helper is a Python closure)
 falls back permanently to the exec'd-NumPy tier on first call, recorded
 in ``repro_kernel_numba_fallbacks_total`` — the bench gate is held by
 the NumPy tier alone, the Numba rung is opportunistic.
-
-Wide tables are blocked into L2-sized **mirror tiles** on the word axis
-(words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)`` — a set closed
-under the ``X ↔ X̄`` word reflection, so alternation stays local to the
-tile) and tiles run on a shared :class:`ThreadPoolExecutor` (NumPy
-releases the GIL on large array ops).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import re
+import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-import os
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..logic.gates import GateKind
 from .compiled import CompiledNetwork, FaultLike
-from .store import STORE, program_fingerprint
 from .vectorized import (
+    _FULL64,
     HAVE_NUMPY,
     KERNEL_MAX_INPUTS,
-    VectorizedBackend,
+    _eval_words,
     _threshold_words,
     classify_status,
 )
 
-try:  # NumPy is required for this tier; selection happens upstream.
+try:  # NumPy is required for this rung; selection happens upstream.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
     _np = None
 
 if HAVE_NUMPY:
-    from .vectorized import _REV8
+    #: Per-byte bit reversal table (the kernel's ``R`` reflection).
+    _REV8 = _np.array(
+        [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=_np.uint8
+    )
 
 try:  # Numba is optional: probe, never require.
     import numba as _numba
@@ -113,17 +118,27 @@ _M_WORDS = _REG.counter(
     "repro_engine_words_total", "64-bit truth-table words simulated, by backend"
 )
 
-#: Faults per kernel block.  Smaller than the vectorized default (64):
-#: a specialized kernel has no per-op dispatch to amortize, so smaller
-#: blocks win on cache locality (measured best 16 on the randlogic
-#: sweep).
+#: Faults per kernel block: a specialized kernel has no per-op dispatch
+#: to amortize, so small blocks win on cache locality (measured best 16
+#: on the randlogic sweep).
 DEFAULT_KERNEL_BLOCK_FAULTS = 16
 
 #: Words per mirror half-tile.  One tile is ``2 * tile_words`` words:
 #: a ``(16, 4096)``-word block row set stays within a typical L2 slice.
 DEFAULT_TILE_WORDS = 2048
 
-_FULL64 = 0xFFFFFFFFFFFFFFFF
+#: Packed-word pattern of input variable ``i`` (i < 6) inside one word:
+#: bit ``p`` is set iff bit ``i`` of the point index ``p`` is set.
+_LOW_PATTERNS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
+
+_LINE_NAME = re.compile(r"\bv\d+\b")
 
 
 def _rev_contiguous(a):
@@ -132,7 +147,7 @@ def _rev_contiguous(a):
     order, then bit-reverse each byte" — one fancy-indexed lookup
     instead of the word-reverse + byteswap chain.  Codegen guarantees
     contiguity: the kernel only reflects freshly computed ufunc
-    results."""
+    results, and slab baselines are stored contiguous."""
     return _REV8[a.view(_np.uint8)[..., ::-1]].view(_np.uint64)
 
 
@@ -166,31 +181,42 @@ class _Kernel:
         "fn",
         "tier",
         "source",
-        "digest",
         "base_args",
         "stem_args",
         "pin_args",
-        "touched",
+        "untouched",
         "det_const",
-        "alt_seed",
         "const_status",
         "n_ops",
     )
 
 
 class _PreparedBlock:
-    """One fault block bound to its kernel: ready-to-call arg tuples."""
+    """One fault block bound to its kernel and forcing columns."""
 
-    __slots__ = ("size", "const_status", "det_const", "kern", "slab_args")
+    __slots__ = ("size", "kern", "forcing")
+
+
+class _Slab:
+    """One mirror slab's fault-free material: every line's baseline
+    words (contiguous, in slab order) plus the output alternation masks
+    and untouched-output seeds derived from them."""
+
+    __slots__ = ("base", "alt", "seeds")
+
+    def __init__(self, base: List) -> None:
+        self.base = base
+        self.alt: Dict[int, object] = {}
+        self.seeds: Dict[Tuple[int, ...], object] = {}
 
 
 class KernelBackend:
-    """Codegen'd fused-sweep executor (the ``kernel`` backend).
+    """Codegen'd fused-sweep executor (the ``kernel`` sweep rung).
 
-    Serves the same :meth:`sweep_statuses` contract as the other block
-    backends — statuses are byte-identical to the scalar bitmask path —
-    but each block runs as one specialized straight-line function
-    instead of an interpreted union schedule.
+    Serves the :meth:`sweep_statuses` contract of
+    :func:`~repro.engine.vectorized.chunk_statuses` — statuses are
+    byte-identical to the scalar bitmask rung — with each fault block
+    run as one specialized straight-line function per mirror slab.
     """
 
     name = "kernel"
@@ -198,7 +224,6 @@ class KernelBackend:
     def __init__(
         self,
         compiled: CompiledNetwork,
-        vectorized: Optional[VectorizedBackend] = None,
         block_faults: int = DEFAULT_KERNEL_BLOCK_FAULTS,
         tile_words: int = DEFAULT_TILE_WORDS,
         threads: Optional[int] = None,
@@ -207,21 +232,10 @@ class KernelBackend:
     ) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError(
-                "NumPy is unavailable; the kernel tier needs it "
-                "(use PackedFallbackBackend instead)"
-            )
-        if compiled.n_inputs > KERNEL_MAX_INPUTS:
-            raise ValueError(
-                f"kernel backend supports at most {KERNEL_MAX_INPUTS} "
-                f"inputs (got {compiled.n_inputs}); use the vectorized "
-                f"or sampled backends for wider input spaces"
+                "NumPy is unavailable; the kernel rung needs it "
+                "(use the bitmask rung instead)"
             )
         self.compiled = compiled
-        self.vec = (
-            vectorized
-            if vectorized is not None
-            else VectorizedBackend(compiled)
-        )
         self.n = compiled.n_inputs
         self.total_bits = 1 << self.n
         self.words = max(1, self.total_bits >> 6)
@@ -233,14 +247,13 @@ class KernelBackend:
         )
         self.use_numba = use_numba and HAVE_NUMBA
         self.max_cached_blocks = max_cached_blocks
-        self._fingerprint = program_fingerprint(compiled)
-        self._kernels: Dict[str, _Kernel] = {}
+        #: Wider tables stream their slab baselines instead of caching.
+        self.streamed = self.n > KERNEL_MAX_INPUTS
+        self._kernels: Dict[Tuple, _Kernel] = {}
         self._blocks: "OrderedDict[Tuple, _PreparedBlock]" = OrderedDict()
         self._lock = threading.Lock()
-        self._base: Optional[List] = None
-        self._base_alt: Dict[int, object] = {}
-        self._seed_cache: Dict[Tuple[int, ...], Tuple[bool, object]] = {}
-        self._slab_base: Dict[int, Dict[int, object]] = {}
+        self._slab_state: Optional[List[_Slab]] = None
+        self._nonalt: Optional[frozenset] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         # Mirror tiles: each slab's word set is closed under the
         # reflection w -> W-1-w, so rev(slab) = bit-reverse + reverse
@@ -269,57 +282,98 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # baseline material
     # ------------------------------------------------------------------
-    def _baseline(self) -> List:
-        if self._base is None:
-            self._base = self.vec._full_baseline()
-        return self._base
-
-    def _base_alt_of(self, out: int):
-        """Baseline alternation mask of output line ``out`` (cached)."""
-        cached = self._base_alt.get(out)
-        if cached is None:
-            base = self._baseline()
-            row = _np.ascontiguousarray(
-                _np.broadcast_to(
-                    _np.asarray(base[out], dtype=_np.uint64), (self.words,)
+    def _slab(self, ranges: Tuple[Tuple[int, int], ...]) -> _Slab:
+        """Fault-free packed values of every line over one slab's words."""
+        np = _np
+        comp = self.compiled
+        widx = np.concatenate(
+            [np.arange(r0, r1, dtype=np.uint64) for r0, r1 in ranges]
+        )
+        k = len(widx)
+        values: List = [None] * len(comp.names)
+        for i in range(comp.n_inputs):
+            if i < 6:
+                values[i] = np.uint64(_LOW_PATTERNS[i]) & self.full_word
+            else:
+                # Bit i of point p = 64*w + b (i >= 6) is bit i-6 of w.
+                bit = (widx >> np.uint64(i - 6)) & np.uint64(1)
+                values[i] = np.where(
+                    bit != 0, np.uint64(_FULL64), np.uint64(0)
                 )
+        for op in comp.ops:
+            values[op.out] = _eval_words(
+                op.kind, [values[s] for s in op.srcs], self.full_word
             )
-            cached = row ^ self._rev(row)
-            self._base_alt[out] = cached
-        return cached
+        if _REG.enabled:
+            _M_OPS.inc(len(comp.ops), backend="kernel")
+            _M_WORDS.inc(len(comp.ops) * k, backend="kernel")
+        return _Slab(
+            [
+                np.ascontiguousarray(
+                    np.broadcast_to(np.asarray(v, dtype=np.uint64), (k,))
+                )
+                for v in values
+            ]
+        )
 
-    def _seeds(self, untouched: Tuple[int, ...]) -> Tuple[bool, object]:
-        """``(det_const, alt_seed)`` for a signature's untouched outputs.
+    def _baseline(self) -> List[_Slab]:
+        """The cached per-slab fault-free baselines — the whole table,
+        built on first use.  Sweeps of streamed (wider than
+        ``KERNEL_MAX_INPUTS``) tables never call this: they build one
+        slab at a time."""
+        if self._slab_state is None:
+            self._slab_state = [self._slab(r) for r in self._slabs]
+        return self._slab_state
 
-        Outputs a block cannot touch contribute their *baseline* masks to
-        the classification: any nonalternating baseline pair makes every
-        fault in the block "detected" (``det_const``), and their
-        alternation masks AND into the violation test (``alt_seed``;
-        ``None`` when they alternate everywhere, i.e. the seed is full).
+    def _alt_of(self, slab: _Slab, out: int):
+        """Baseline alternation mask of output line ``out`` over a slab."""
+        alt = slab.alt.get(out)
+        if alt is None:
+            row = slab.base[out]
+            alt = slab.alt[out] = row ^ self._rev(row)
+        return alt
+
+    def _seed_of(self, slab: _Slab, untouched: Tuple[int, ...]):
+        """AND of the untouched outputs' alternation masks over a slab —
+        the ``AS`` argument of kernels whose detection is constant."""
+        seed = slab.seeds.get(untouched)
+        if seed is None:
+            for out in untouched:
+                alt = self._alt_of(slab, out)
+                seed = alt if seed is None else seed & alt
+            slab.seeds[untouched] = seed
+        return seed
+
+    def _nonalternating(self) -> frozenset:
+        """Outputs whose fault-free table has a nonalternating pair.
+
+        A block whose untouched outputs include one is "detected" for
+        every fault (``det_const``); a block whose untouched outputs all
+        alternate everywhere needs no alternation seed at all.
         """
-        cached = self._seed_cache.get(untouched)
-        if cached is not None:
-            return cached
-        full = self.full_word
-        det_const = False
-        alt_seed = None
-        for out in untouched:
-            alt = self._base_alt_of(out)
-            if not det_const and bool(_np.any(alt != full)):
-                det_const = True
-            alt_seed = alt if alt_seed is None else (alt_seed & alt)
-        if alt_seed is not None and bool(_np.all(alt_seed == full)):
-            alt_seed = None
-        result = (det_const, alt_seed)
-        self._seed_cache[untouched] = result
-        return result
+        if self._nonalt is None:
+            outs = _dedupe(self.compiled.out_idx)
+            slabs = (
+                (self._slab(r) for r in self._slabs)
+                if self.streamed
+                else self._baseline()
+            )
+            found: set = set()
+            for slab in slabs:
+                for out in outs:
+                    if out not in found and bool(
+                        _np.any(self._alt_of(slab, out) != self.full_word)
+                    ):
+                        found.add(out)
+            self._nonalt = frozenset(found)
+        return self._nonalt
 
     # ------------------------------------------------------------------
     # signature + codegen
     # ------------------------------------------------------------------
     def _signature(self, plans):
-        """Dead-line-eliminated block signature: kept schedule, live
-        stem-forced lines, live forced pins, and the cache digest."""
+        """Dead-line-eliminated block signature: live stem-forced lines,
+        live forced pins, and the kept schedule."""
         comp = self.compiled
         ops = comp.ops
         stems: set = set()
@@ -350,36 +404,21 @@ class KernelBackend:
         pins_kept = tuple(
             sorted(key for key in pins if key[0] in kept_set)
         )
-        digest = hashlib.sha256(
-            "|".join(
-                (
-                    self._fingerprint,
-                    ",".join(map(str, stems_kept)),
-                    ",".join(f"{p}.{s}" for p, s in pins_kept),
-                    ",".join(map(str, kept)),
-                )
-            ).encode()
-        ).hexdigest()
-        return digest, stems_kept, pins_kept, tuple(kept)
+        return stems_kept, pins_kept, tuple(kept)
 
-    def _kernel_for(self, digest, stems, pins, sched) -> _Kernel:
-        kern = self._kernels.get(digest)
+    def _kernel_for(self, signature) -> _Kernel:
+        kern = self._kernels.get(signature)
         if kern is not None:
             if _REG.enabled:
                 _M_HITS.inc(source="memory")
             return kern
-        if STORE.enabled:
-            cached = STORE.get("kernel", self._fingerprint, digest)
-            if cached is not None:
-                self._kernels[digest] = cached
-                if _REG.enabled:
-                    _M_HITS.inc(source="store")
-                return cached
         if _REG.enabled:
             _M_MISSES.inc()
+        stems, pins, sched = signature
+        digest = hashlib.sha256(repr(signature).encode()).hexdigest()[:12]
         with obs.span(
             "kernel.compile",
-            digest=digest[:12],
+            digest=digest,
             ops=len(sched),
             stems=len(stems),
             pins=len(pins),
@@ -387,15 +426,14 @@ class KernelBackend:
             kern = self._generate(digest, stems, pins, sched)
             if _REG.enabled:
                 _M_COMPILES.inc(tier=kern.tier)
-        self._kernels[digest] = kern
-        if STORE.enabled:
-            STORE.put("kernel", self._fingerprint, digest, value=kern)
+        self._kernels[signature] = kern
         return kern
 
     def _generate(self, digest, stem_lines, pin_keys, sched) -> _Kernel:
         """Generate, ``exec``, and (optionally) njit one signature."""
         comp = self.compiled
         ops = comp.ops
+        masked = self.total_bits < 64
         stem_set = set(stem_lines)
         stem_arg = {ln: k for k, ln in enumerate(stem_lines)}
         pin_arg = {key: j for j, key in enumerate(pin_keys)}
@@ -405,12 +443,13 @@ class KernelBackend:
             for op in ops
             if op.kind in (GateKind.CONST0, GateKind.CONST1)
         }
+        outs = _dedupe(comp.out_idx)
+        out_set = set(outs)
         computed: set = set()
         lit: Dict[int, int] = {}
         base_args: List[int] = []
         base_seen: set = set()
-        body: List[str] = []
-
+        defs: List[Tuple[int, str]] = []  # (line, expression), in order
         def base_ref(idx: int) -> str:
             cv = const_lines.get(idx)
             if cv is not None:
@@ -431,14 +470,17 @@ class KernelBackend:
                 return ("F" if lv else "ZW"), lv
             return base_ref(idx), None
 
+        def define(idx: int, expr: str) -> None:
+            defs.append((idx, expr))
+            computed.add(idx)
+
         # Stem-forced lines whose driving op is not scheduled force on
         # top of the baseline; scheduled ones re-force after their op
         # (forced values win over pin overrides, as in the scalar plans).
         for ln in stem_lines:
             if ln not in driven_by:
                 k = stem_arg[ln]
-                body.append(f"v{ln} = {base_ref(ln)} & sa{k} | so{k}")
-                computed.add(ln)
+                define(ln, f"{base_ref(ln)} & sa{k} | so{k}")
         for pos in sched:
             op = ops[pos]
             rendered = []
@@ -448,7 +490,7 @@ class KernelBackend:
                 if j is not None:
                     expr, lv = f"({expr} & pa{j} | po{j})", None
                 rendered.append((expr, lv))
-            folded = _gate_fold(op.kind, rendered, masked=self.total_bits < 64)
+            folded = _gate_fold(op.kind, rendered, masked=masked)
             if folded[0] == "lit" and op.out not in stem_set:
                 lit[op.out] = folded[1]
                 continue
@@ -459,25 +501,19 @@ class KernelBackend:
             )
             if op.out in stem_set:
                 k = stem_arg[op.out]
-                body.append(f"v{op.out} = ({expr}) & sa{k} | so{k}")
-            else:
-                body.append(f"v{op.out} = {expr}")
-            computed.add(op.out)
+                expr = f"({expr}) & sa{k} | so{k}"
+            define(op.out, expr)
 
-        outs = _dedupe(comp.out_idx)
-        touched = tuple(o for o in outs if o in computed)
         untouched = tuple(o for o in outs if o not in computed)
-        det_const, alt_seed = self._seeds(untouched)
+        det_const = bool(self._nonalternating() & set(untouched))
 
         kern = _Kernel()
-        kern.digest = digest
         kern.stem_args = stem_lines
         kern.pin_args = pin_keys
-        kern.touched = touched
+        kern.untouched = untouched
         kern.det_const = det_const
-        kern.alt_seed = alt_seed
-        kern.n_ops = len(body)
-        if not touched:
+        kern.n_ops = len(defs)
+        if not any(idx in out_set for idx, _ in defs):
             # The block cannot reach any output: every fault's status is
             # decided by the baseline seeds alone.
             kern.fn = None
@@ -487,30 +523,37 @@ class KernelBackend:
             kern.const_status = "detected" if det_const else "silent"
             return kern
         kern.const_status = None
-
-        masked = self.total_bits < 64
+        # Each output folds into the running pair classification right
+        # after it is computed, so its value can be released early.
         inv = "~a & F" if masked else "~a"
-        first = touched[0]
-        body.append(f"w = v{first} ^ {base_ref(first)}")
-        body.append(f"a = v{first} ^ R(v{first})")
-        body.append("alt = AS & a" if alt_seed is not None else "alt = a")
-        if not det_const:
-            body.append(f"det = {inv}")
-        for o in touched[1:]:
-            body.append(f"w = w | (v{o} ^ {base_ref(o)})")
-            body.append(f"a = v{o} ^ R(v{o})")
-            body.append("alt = alt & a")
+        body: List[str] = []
+        first = True
+        for idx, expr in defs:
+            body.append(f"v{idx} = {expr}")
+            if idx not in out_set:
+                continue
+            diff = f"v{idx} ^ {base_ref(idx)}"
+            body.append(f"w = {diff}" if first else f"w = w | ({diff})")
+            body.append(f"a = v{idx} ^ R(v{idx})")
+            if first:
+                body.append("alt = AS & a" if det_const else "alt = a")
+            else:
+                body.append("alt = alt & a")
             if not det_const:
-                body.append(f"det = det | ({inv})")
+                body.append(
+                    f"det = {inv}" if first else f"det = det | ({inv})"
+                )
+            first = False
         # Statuses only need "any violation per fault", and alternation
         # masks are symmetric under the pair reflection (R(alt) == alt),
         # so any((w | R(w)) & alt) == any(w & alt): the affected-set
         # pair closure drops out of the fused classification entirely.
         body.append("vio = w & alt")
         body.append("return (" + ("None" if det_const else "det") + ", vio)")
+        body = _release_dead(body)
 
         args = ["F", "R"]
-        if alt_seed is not None:
+        if det_const:
             args.append("AS")
         args.extend(f"b{i}" for i in base_args)
         for k in range(len(stem_lines)):
@@ -527,7 +570,7 @@ class KernelBackend:
             "_MAJ": GateKind.MAJ,
             "_MIN": GateKind.MIN,
         }
-        code = compile(source, f"<repro-kernel-{digest[:12]}>", "exec")
+        code = compile(source, f"<repro-kernel-{digest}>", "exec")
         exec(code, globs)
         pyfn = globs["_kernel"]
         kern.base_args = tuple(base_args)
@@ -550,34 +593,6 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # block preparation + execution
     # ------------------------------------------------------------------
-    def _slab_baseline(self, slab_i: int) -> Dict[int, object]:
-        per = self._slab_base.get(slab_i)
-        if per is None:
-            per = {}
-            self._slab_base[slab_i] = per
-        return per
-
-    def _slab_slice(self, slab_i: int, arr):
-        """``arr`` restricted to slab ``slab_i`` (identity when the slab
-        covers the whole table)."""
-        ranges = self._slabs[slab_i]
-        if len(ranges) == 1 and ranges[0] == (0, self.words):
-            return arr
-        pieces = [arr[r0:r1] for r0, r1 in ranges]
-        return pieces[0] if len(pieces) == 1 else _np.concatenate(pieces)
-
-    def _slab_base_arg(self, slab_i: int, idx: int):
-        per = self._slab_baseline(slab_i)
-        arr = per.get(idx)
-        if arr is None:
-            base = self._baseline()
-            row = _np.broadcast_to(
-                _np.asarray(base[idx], dtype=_np.uint64), (self.words,)
-            )
-            arr = self._slab_slice(slab_i, row)
-            per[idx] = arr
-        return arr
-
     def _prepare(self, block: Tuple[FaultLike, ...]) -> _PreparedBlock:
         # Engines are shared across server threads; one lock covers both
         # the prepared-block LRU and the kernel cache (the hit path is a
@@ -592,19 +607,15 @@ class KernelBackend:
             return prep
         comp = self.compiled
         plans = [comp.fault_plan(fault) for fault in block]
-        digest, stems, pins, sched = self._signature(plans)
-        kern = self._kernel_for(digest, stems, pins, sched)
+        kern = self._kernel_for(self._signature(plans))
         prep = _PreparedBlock()
         prep.size = len(block)
         prep.kern = kern
-        prep.const_status = kern.const_status
-        prep.det_const = kern.det_const
-        prep.slab_args = None
+        forcing: List = []
         if kern.const_status is None:
             B = len(block)
             full = self.full_word
             zero = _np.uint64(0)
-            forcing: List = []
             for ln in kern.stem_args:
                 sa = _np.full((B, 1), full, dtype=_np.uint64)
                 so = _np.zeros((B, 1), dtype=_np.uint64)
@@ -623,54 +634,68 @@ class KernelBackend:
                             pa[row, 0] = zero
                             po[row, 0] = full if value else zero
                 forcing.extend((pa, po))
-            slab_args = []
-            for slab_i in range(len(self._slabs)):
-                args: List = [full, self._rev]
-                if kern.alt_seed is not None:
-                    args.append(self._slab_slice(slab_i, kern.alt_seed))
-                args.extend(
-                    self._slab_base_arg(slab_i, idx)
-                    for idx in kern.base_args
-                )
-                args.extend(forcing)
-                slab_args.append(tuple(args))
-            prep.slab_args = slab_args
+        prep.forcing = tuple(forcing)
         self._blocks[block] = prep
         while len(self._blocks) > self.max_cached_blocks:
             self._blocks.popitem(last=False)
         return prep
 
-    def _run_block(self, prep: _PreparedBlock):
-        """``(det_any, vio_any)`` per fault row; ``det_any`` is ``None``
-        when detection is constant-true for the block (baseline seeds)."""
-        fn = prep.kern.fn
-        n_slabs = len(prep.slab_args)
-        if n_slabs == 1:  # the common full-table tile: no reduce loop
-            det, vio = fn(*prep.slab_args[0])
-            d = None if det is None else _np.any(det, axis=-1)
-            return d, _np.any(vio, axis=-1)
-        det_b = None if prep.det_const else _np.zeros(prep.size, dtype=bool)
-        vio_b = _np.zeros(prep.size, dtype=bool)
+    def _sweep_slab(self, preps: List[_PreparedBlock], slab: _Slab):
+        """``(det_any, vio_any)`` per block over one slab; ``det_any`` is
+        ``None`` when detection is constant-true for the block."""
+        results = []
+        head = (self.full_word, self._rev)
+        for prep in preps:
+            kern = prep.kern
+            seed = (
+                (self._seed_of(slab, kern.untouched),)
+                if kern.det_const
+                else ()
+            )
+            det, vio = kern.fn(
+                *head,
+                *seed,
+                *[slab.base[i] for i in kern.base_args],
+                *prep.forcing,
+            )
+            results.append(
+                (
+                    None if det is None else _np.any(det, axis=-1),
+                    _np.any(vio, axis=-1),
+                )
+            )
+        return results
 
-        def one(slab_i: int):
-            det, vio = fn(*prep.slab_args[slab_i])
-            d = None if det is None else _np.any(det, axis=-1)
-            return d, _np.any(vio, axis=-1)
+    def _run_blocks(self, preps: List[_PreparedBlock]):
+        """Every block over every slab, OR-reduced per fault row."""
+        work = self._slabs if self.streamed else self._baseline()
 
-        if self.threads > 1:
+        def one(item):
+            slab = self._slab(item) if self.streamed else item
+            return self._sweep_slab(preps, slab)
+
+        if self.threads > 1 and len(work) > 1:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.threads, len(self._slabs)),
+                    max_workers=min(self.threads, len(work)),
                     thread_name_prefix="repro-kernel",
                 )
-            results = list(self._pool.map(one, range(n_slabs)))
+            per_slab = self._pool.map(one, work)
         else:
-            results = [one(i) for i in range(n_slabs)]
-        for d, v in results:
-            if d is not None and det_b is not None:
-                det_b |= d
-            vio_b |= v
-        return det_b, vio_b
+            per_slab = map(one, work)
+        acc = [
+            (
+                None if prep.kern.det_const else _np.zeros(prep.size, bool),
+                _np.zeros(prep.size, bool),
+            )
+            for prep in preps
+        ]
+        for results in per_slab:
+            for (det_acc, vio_acc), (d, v) in zip(acc, results):
+                if det_acc is not None:
+                    det_acc |= d
+                vio_acc |= v
+        return acc
 
     # ------------------------------------------------------------------
     # public API (the chunk_statuses contract)
@@ -683,27 +708,30 @@ class KernelBackend:
         """Classify every fault — byte-identical to the scalar path."""
         universe = list(faults)
         block_size = block_faults or self.block_faults
-        statuses: List[str] = []
-        enabled = _REG.enabled
-        for start in range(0, len(universe), block_size):
-            block = tuple(universe[start : start + block_size])
-            prep = self._prepare(block)
-            if enabled:
+        preps = [
+            self._prepare(tuple(universe[start : start + block_size]))
+            for start in range(0, len(universe), block_size)
+        ]
+        if _REG.enabled:
+            for prep in preps:
                 _M_BLOCKS.inc()
-                _M_FAULTS.inc(len(block))
+                _M_FAULTS.inc(prep.size)
                 _M_OPS.inc(prep.kern.n_ops, backend="kernel")
                 _M_WORDS.inc(
-                    prep.kern.n_ops * len(block) * self.words,
+                    prep.kern.n_ops * prep.size * self.words,
                     backend="kernel",
                 )
-            if prep.const_status is not None:
-                statuses.extend([prep.const_status] * len(block))
+        live = [prep for prep in preps if prep.kern.const_status is None]
+        reduced = iter(self._run_blocks(live) if live else ())
+        statuses: List[str] = []
+        for prep in preps:
+            if prep.kern.const_status is not None:
+                statuses.extend([prep.kern.const_status] * prep.size)
                 continue
-            det_b, vio_b = self._run_block(prep)
+            det_b, vio_b = next(reduced)
             if det_b is None:  # detection constant-true for the block
                 statuses.extend(
-                    "dangerous" if v else "detected"
-                    for v in vio_b.tolist()
+                    "dangerous" if v else "detected" for v in vio_b.tolist()
                 )
             else:
                 statuses.extend(
@@ -719,6 +747,26 @@ class KernelBackend:
             "blocks": len(self._blocks),
             "tiles": len(self._slabs),
         }
+
+
+def _release_dead(body: List[str]) -> List[str]:
+    """Insert ``del vN`` right after the last statement reading each
+    line value, so generated kernels hold only live intermediates."""
+    last: Dict[str, int] = {}
+    for at, line in enumerate(body):
+        _, assign, expr = line.partition(" = ")
+        for name in _LINE_NAME.findall(expr if assign else line):
+            last[name] = at
+    dead_after: Dict[int, List[str]] = {}
+    for name, at in last.items():
+        dead_after.setdefault(at, []).append(name)
+    out: List[str] = []
+    for at, line in enumerate(body):
+        out.append(line)
+        names = dead_after.get(at)
+        if names and not line.startswith("return"):
+            out.append("del " + ", ".join(sorted(names)))
+    return out
 
 
 def _dedupe(seq) -> Tuple[int, ...]:

@@ -1,25 +1,26 @@
-"""Content-addressed artifact store for campaign reuse.
+"""Content-addressed artifact store for request replay.
 
 Repeated campaigns over the same netlist — the normal shape once
-``repro serve`` queues requests from many clients — keep recomputing
-two expensive artifacts: the fault-free packed baseline and the full
-campaign status vector.  This store keys both by *content*, not by
-object identity:
+``repro serve`` queues requests from many clients — would otherwise
+re-run whole sweeps.  This store keys request-level results by
+*content*, not by object identity:
 
 * ``program_fingerprint(compiled)`` — sha256 over the compiled
   program's structure (input count, line names, op list, output
   indices).  Two separately constructed but identical netlists hash the
-  same, so artifacts survive across ``Network`` instances, across
+  same, so results survive across ``Network`` instances, across
   transports, and across ``serve`` requests.
 * :func:`repro.engine.supervisor.universe_fingerprint` — the existing
   sha256 of the ordered fault universe.
 
-Keys are tuples ``(kind, *fingerprints)``; kinds in use are
-``"baseline"`` (program fp), ``"campaign"`` (program fp + universe fp +
-the request shape that affects the statuses), ``"network"`` (raw
-netlist text, used by the server to dedup parses), and ``"kernel"``
-(program fp + block-signature digest — the generated source of one
-specialized sweep kernel, shared across engines of identical programs).
+Keys are tuples ``(kind, *fingerprints)``; the kinds are ``"network"``
+(raw netlist text, used by the server to dedup parses), ``"campaign"``
+(program fp + universe fp + the request shape that affects the
+statuses) and ``"synth"`` (target fp + request shape).  Per-program
+derived state — baselines, generated kernels — lives in the engine,
+which :func:`repro.engine.engine_for` already shares per network, so
+one request's internals never push other requests' results out of the
+bounded LRU.
 
 The store is **opt-in** (``STORE.enabled`` defaults to ``False``): the
 chaos/fuzz suites intentionally sabotage engines and must observe the

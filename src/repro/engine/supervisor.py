@@ -61,7 +61,7 @@ from .transport import (
     TransportUnavailable,
     create_transport,
 )
-from .vectorized import HAVE_NUMPY, VECTOR_MIN_FAULTS, chunk_statuses
+from .vectorized import chunk_statuses
 
 # Telemetry: campaign-level counters are incremented by the supervising
 # parent (workers keep their own process-local registries, which die
@@ -229,14 +229,14 @@ class CampaignReport:
     """Structured account of how a sweep actually ran.
 
     ``backend`` is the ladder rung plus block backend that served the
-    bulk of the campaign (e.g. ``"fork+shm:vectorized"``,
-    ``"socket:vectorized"``, ``"serial:fallback"``,
-    ``"scalar:bitmask"``, or ``"resumed"`` when every chunk came from
-    the checkpoint); ``block_backend`` is the final resolved
-    block-backend name alone.  ``degradations`` lists every ladder step
-    down with its reason — an empty list means the requested mode is
-    exactly what ran.  ``steals`` counts chunk halves re-assigned to
-    idle lanes by the work-stealing scheduler.
+    bulk of the campaign (e.g. ``"fork+shm:kernel"``,
+    ``"socket:kernel"``, ``"serial:kernel"``, ``"scalar:bitmask"``, or
+    ``"resumed"`` when every chunk came from the checkpoint);
+    ``block_backend`` is the final resolved block-backend name alone.
+    ``degradations`` lists every ladder step down with its reason — an
+    empty list means the requested mode is exactly what ran.  ``steals``
+    counts chunk halves re-assigned to idle lanes by the work-stealing
+    scheduler.
     """
 
     requested: str
@@ -797,10 +797,10 @@ def run_campaign(
 ) -> Tuple[List[str], CampaignReport]:
     """Run one supervised campaign; returns ``(statuses, report)``.
 
-    ``chosen`` is a resolved block-backend name (``bitmask`` /
-    ``vectorized`` / ``fallback``).  ``transport`` picks the execution
-    fabric: ``auto`` (fork workers when ``processes > 1``, in-process
-    otherwise), ``inline``, ``fork``, ``fork+shm``, or ``socket``.
+    ``chosen`` is a resolved sweep-rung name (``kernel`` / ``bitmask``).
+    ``transport`` picks the execution fabric: ``auto`` (fork workers
+    when ``processes > 1``, in-process otherwise), ``inline``, ``fork``,
+    ``fork+shm``, or ``socket``.
     ``abort_after_chunks`` is the interruption hook used by tests and
     drills: the campaign raises :class:`CampaignInterrupted` after that
     many newly simulated chunks, leaving the checkpoint resumable.
@@ -984,17 +984,6 @@ def _run_campaign(
             tasks,
             cancel,
         )
-        n_left = sum(1 for s in statuses if s is None)
-        if (
-            served_rung is None
-            and chosen == "bitmask"
-            and n_left >= VECTOR_MIN_FAULTS
-        ):
-            # Serve the bulk remainder on the serial block backend rather
-            # than degrading all the way to the per-fault scalar loop.
-            chosen = "vectorized" if HAVE_NUMPY else "fallback"
-            report.block_backend = chosen
-
     if served_rung is None:
         chosen = _serial_fill(
             sweep, universe, statuses, chosen, report, complete, chunk, cancel

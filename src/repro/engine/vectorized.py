@@ -1,46 +1,33 @@
-"""Vectorized fault-batched simulation: PPSFP over packed truth tables.
+"""Sweep-rung selection, the chunk seams, and ATPG's pattern-space rungs.
 
-The scalar backends pay Python interpreter overhead *per fault per op*:
-a campaign over F faults re-runs each fault's cone schedule one big-int
-operation at a time, and the SCAL pair classification spends most of its
-time in :func:`~repro.engine.compiled.reflect_bits` (a Python loop over
-set bits).  This module removes both costs with parallel-pattern,
-parallel-fault simulation (PPSFP):
+Exhaustive SCAL sweeps have two rungs, picked by :func:`select_backend`
+from the table size alone:
 
-* every line's ``2**n``-point truth table is packed into ``uint64``
-  words (bit ``p & 63`` of word ``p >> 6`` is input point ``p`` — the
-  repo-wide bit-order convention, just re-chunked), and
-* a whole **block of faults** is simulated at once along a second axis:
-  line values become ``(faults, words)`` arrays, one vectorized pass
-  over the union of the block's cone-pruned op schedules replaces
-  ``faults × ops`` interpreted steps with ``ops`` NumPy calls.
+* ``bitmask`` — Python big ints (:class:`PackedFallbackBackend`'s
+  per-fault classifier over the shared :class:`BitmaskBackend`): a big
+  int *is* a packed word array, CPython runs ``&``/``|``/``^`` over its
+  digits in C, and :func:`~repro.engine.compiled.reflect_bits` is one
+  linear string reversal.  It serves one-word tables (``n ≤ 6``), where
+  NumPy set-up costs more than the arithmetic, and every table when
+  NumPy is absent.
+* ``kernel`` — the codegen'd fault-block kernels of
+  :mod:`repro.engine.kernels`, at any width.
 
-Fault injection composes exactly as in the scalar backends: stem
-overrides force whole rows of a line's array (forced values win over
-pin overrides on the driving gate), pin overrides force rows of one
-operand copy.  Re-evaluating an op for rows whose fault does not reach
-it simply reproduces the baseline, so the union schedule is sound.
+:func:`chunk_statuses` is the single chunk-level entry both rungs (and
+the ``synth`` fitness chunks) run through.
 
-The SCAL pair pairing ``X ↔ X̄`` is an index complement, i.e. a reversal
-of the whole table's bit order; on packed words that is "reverse the
-word order, bit-reverse each word", which vectorizes as a byte-table
-lookup — no per-bit Python loop.
-
-For wide input spaces the word axis is processed in **mirror chunk
-pairs** (words ``[lo, lo+K)`` together with ``[W-lo-K, W-lo)``) so the
-alternation test stays local while memory is bounded by
-``faults × 2K × lines`` words instead of the full table.
-
-When NumPy is missing, :class:`PackedFallbackBackend` offers the same
-block API over Python big ints (a big int *is* a packed word array —
-CPython already stores it as 30-bit digits and runs mask ops in C), so
-callers never branch on NumPy availability; :func:`select_backend`
-performs that selection automatically.
+ATPG simulates explicit pattern lists, not truth tables: its rungs are
+the NumPy :class:`VectorizedBackend` (parallel-pattern, parallel-fault
+simulation — patterns packed onto a ``uint64`` word axis, a block of
+faults along a second axis, one vectorized pass over the union of the
+block's cone-pruned schedules), the pure-Python
+:meth:`PackedFallbackBackend.pattern_bits`, and a pointwise rung, all
+behind :func:`chunk_pattern_bits`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .backends import BitmaskBackend
 from .compiled import CompiledNetwork, FaultLike, reflect_bits
@@ -67,61 +54,27 @@ _M_CHUNKS = _REG.counter(
     "Faults classified through chunk_statuses, by backend",
 )
 
-try:  # NumPy is optional: the packed fallback keeps every path alive.
+try:  # NumPy is optional: the bitmask rung keeps every sweep alive.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
     _np = None
 
 HAVE_NUMPY = _np is not None
 
-#: Fault batches below this size cannot amortize block set-up; the
-#: scalar bitmask path wins.
-VECTOR_MIN_FAULTS = 8
-
-#: Faults simulated per block (the PPSFP fault axis).
+#: Faults simulated per pattern block (the PPSFP fault axis).
 DEFAULT_BLOCK_FAULTS = 64
 
-#: Word-axis chunk size for wide input spaces: tables wider than
-#: ``2 * DEFAULT_CHUNK_WORDS`` words are processed in mirror chunk
-#: pairs of this many words each (bounding live memory to roughly
-#: ``block_faults * 2 * chunk_words * lines`` words).
-DEFAULT_CHUNK_WORDS = 256
-
-#: Input counts beyond this make even one packed truth table heavy;
-#: the heuristic recommends sampling instead of exhaustion.
-EXHAUSTIVE_INPUT_LIMIT = 16
-
-#: Word counts of 128+ (``n_inputs > 12``) are where the codegen kernel
-#: tier beats the vectorized interpreter even cold, compile time
-#: included (see BENCH_kernels.json); below that it only wins once its
-#: per-signature kernels are warm, so auto keeps the vectorized rung.
-KERNEL_AUTO_MIN_INPUTS = 12
-
-#: Input counts beyond this would materialize full-table baselines too
-#: large for the kernel form (:class:`~repro.engine.kernels.KernelBackend`
-#: refuses them); auto routes wider circuits to the chunked vectorized
-#: path.
+#: Widest table the kernel keeps as one cached full-table baseline
+#: (``2**20`` points: 128 KiB per line).  Wider tables stream one mirror
+#: slab at a time, so their live memory is bounded by the slab, not the
+#: table.
 KERNEL_MAX_INPUTS = 20
 
+#: Tables of at most this many inputs fit one 64-bit word: Python ints
+#: beat NumPy set-up there.
+ONE_WORD_INPUTS = 6
+
 _FULL64 = 0xFFFFFFFFFFFFFFFF
-
-#: Packed-word pattern of input variable ``i`` (i < 6) inside one word:
-#: bit ``p`` is set iff bit ``i`` of the point index ``p`` is set.
-_LOW_PATTERNS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
-
-if HAVE_NUMPY:
-    #: Per-byte bit reversal table; combined with a byteswap this
-    #: reverses all 64 bits of a word.
-    _REV8 = _np.array(
-        [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=_np.uint8
-    )
 
 
 def select_backend(
@@ -132,33 +85,18 @@ def select_backend(
 ) -> str:
     """Pick an execution backend from the campaign's shape.
 
-    ==================  =============  =========================================
-    input space         fault count    backend
-    ==================  =============  =========================================
-    explicit points     —              ``pointwise`` (one) / ``sampled`` (many)
-    ``n ≤ 16``          ``< 8``        ``bitmask`` (big-int masks, per fault)
-    ``n ≤ 12``          ``≥ 8``        ``vectorized`` (NumPy) or ``fallback``
-    ``12 < n ≤ 20``     ``≥ 8``        ``kernel`` (codegen) or ``fallback``
-    ``n > 20``          any            ``vectorized`` (chunked) or ``fallback``
-    ==================  =============  =========================================
-
-    ``fallback`` is the pure-Python packed-word path — selected
-    automatically whenever NumPy is absent.  The ``kernel`` rung only
-    engages where its codegen cost wins even on a cold one-shot sweep
-    (``n_inputs > KERNEL_AUTO_MIN_INPUTS``); narrower circuits still
-    reach it explicitly via ``backend="kernel"``.
+    Explicit points run ``pointwise`` (one) or ``sampled`` (many).
+    Exhaustive sweeps run ``bitmask`` when NumPy is absent or the whole
+    table fits one 64-bit word (``n ≤ 6``), and ``kernel`` otherwise —
+    at any width, whatever the fault count.
     """
     if numpy_available is None:
         numpy_available = HAVE_NUMPY
     if n_points is not None:
         return "pointwise" if n_points == 1 else "sampled"
-    if n_inputs <= EXHAUSTIVE_INPUT_LIMIT and n_faults < VECTOR_MIN_FAULTS:
+    if not numpy_available or n_inputs <= ONE_WORD_INPUTS:
         return "bitmask"
-    if not numpy_available:
-        return "fallback"
-    if KERNEL_AUTO_MIN_INPUTS < n_inputs <= KERNEL_MAX_INPUTS:
-        return "kernel"
-    return "vectorized"
+    return "kernel"
 
 
 def classify_status(detected: int, violations: int) -> str:
@@ -175,11 +113,11 @@ class PackedFallbackBackend:
     """The pure-Python packed-word executor (and the scalar classifier).
 
     A Python big int already is a packed word array — CPython runs
-    ``&``/``|``/``^`` over its digits in C — so this backend simply
-    drives the shared :class:`BitmaskBackend` per fault and performs
-    the SCAL pair classification with :func:`reflect_bits`.  It exposes
-    the same block API as :class:`VectorizedBackend` so callers select
-    by name, never by ``try: import numpy``.
+    ``&``/``|``/``^`` over its digits in C — so this backend drives the
+    shared :class:`BitmaskBackend` per fault and performs the SCAL pair
+    classification with :func:`reflect_bits` (the ``bitmask`` sweep
+    rung), and simulates explicit pattern lists for ATPG's ``fallback``
+    pattern rung.
     """
 
     name = "fallback"
@@ -207,12 +145,6 @@ class PackedFallbackBackend:
                 bits ^ reflect_bits(bits, self.n) for bits in self._normal_out
             )
         return self._normal_out, self._normal_alt
-
-    # ------------------------------------------------------------------
-    # per-fault queries (delegate to the shared bitmask backend)
-    # ------------------------------------------------------------------
-    def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
-        return self.bitmask.line_bits(fault)
 
     def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
         return self.bitmask.output_bits(fault)
@@ -242,24 +174,6 @@ class PackedFallbackBackend:
         affected = wrong | reflect_bits(wrong, n)
         violations = affected & all_alternate
         return affected, detected, violations
-
-    # ------------------------------------------------------------------
-    # block API (shared with VectorizedBackend)
-    # ------------------------------------------------------------------
-    def response_block(
-        self, faults: Sequence[FaultLike]
-    ) -> List[Tuple[int, int, int]]:
-        return [self.response_triple(fault) for fault in faults]
-
-    def sweep_statuses(
-        self,
-        faults: Iterable[FaultLike],
-        block_faults: Optional[int] = None,
-    ) -> List[str]:
-        return [
-            classify_status(det, vio)
-            for _aff, det, vio in (self.response_triple(f) for f in faults)
-        ]
 
     def pattern_bits(
         self,
@@ -315,7 +229,8 @@ class PackedFallbackBackend:
 
 
 class VectorizedBackend:
-    """NumPy PPSFP executor over ``(faults, words)`` ``uint64`` arrays."""
+    """NumPy PPSFP executor over ``(faults, words)`` ``uint64`` arrays
+    whose word axis packs an explicit pattern list (ATPG's top rung)."""
 
     name = "vectorized"
 
@@ -323,96 +238,29 @@ class VectorizedBackend:
         self,
         compiled: CompiledNetwork,
         block_faults: int = DEFAULT_BLOCK_FAULTS,
-        chunk_words: int = DEFAULT_CHUNK_WORDS,
     ) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError(
                 "NumPy is unavailable; use PackedFallbackBackend instead"
             )
         self.compiled = compiled
-        self.n = compiled.n_inputs
-        self.total_bits = 1 << self.n
-        self.words = max(1, self.total_bits >> 6)
-        self.full_word = _np.uint64(
-            (1 << min(self.total_bits, 64)) - 1
-        )
         self.block_faults = max(1, block_faults)
-        self.chunk_words = max(1, chunk_words)
-        #: Tables wider than two chunks are swept in mirror chunk pairs.
-        self.chunked = self.words > 2 * self.chunk_words
-        self._base: Optional[List] = None  # full-table baseline (unchunked)
 
-    # ------------------------------------------------------------------
-    # packed building blocks
-    # ------------------------------------------------------------------
-    def _var_words(self, i: int, widx) -> "object":
-        """Packed words of input variable ``i`` over word indices ``widx``."""
-        if i < 6:
-            return _np.full(
-                widx.shape,
-                _np.uint64(_LOW_PATTERNS[i]) & self.full_word,
-                dtype=_np.uint64,
-            )
-        # Bit i of point p = 64*w + b (i >= 6) is bit i-6 of the word index.
-        bit = (widx >> _np.uint64(i - 6)) & _np.uint64(1)
-        return _np.where(bit != 0, _np.uint64(_FULL64), _np.uint64(0))
-
-    def _baseline_words(self, w0: int, w1: int) -> List:
-        """Fault-free packed values of every line over words ``[w0, w1)``."""
-        comp = self.compiled
-        widx = _np.arange(w0, w1, dtype=_np.uint64)
-        values: List = [None] * len(comp.names)
-        for i in range(comp.n_inputs):
-            values[i] = self._var_words(i, widx)
-        for op in comp.ops:
-            values[op.out] = _eval_words(
-                op.kind, [values[s] for s in op.srcs], self.full_word
-            )
-        if _REG.enabled:
-            _M_OPS.inc(len(comp.ops), backend="vectorized")
-            _M_WORDS.inc(len(comp.ops) * (w1 - w0), backend="vectorized")
-        k = w1 - w0
-        return [
-            _np.broadcast_to(_np.asarray(v, dtype=_np.uint64), (k,))
-            for v in values
-        ]
-
-    def _full_baseline(self) -> List:
-        if self._base is None:
-            self._base = self._baseline_words(0, self.words)
-        return self._base
-
-    def _reflect_full(self, arr):
-        """The ``X ↔ X̄`` index complement of a full packed table:
-        reverse the word order and bit-reverse each word (for tables
-        narrower than one word, reverse just the low ``2**n`` bits)."""
-        if self.total_bits < 64:
-            return _bitrev64(arr) >> _np.uint64(64 - self.total_bits)
-        return _bitrev64(arr)[..., ::-1]
-
-    # ------------------------------------------------------------------
-    # fault-block evaluation
-    # ------------------------------------------------------------------
-    def _block_outputs(self, plans, w0: int, w1: int, base, full=None):
-        """Faulty packed values over words ``[w0, w1)`` for a block.
+    def _block_outputs(self, plans, k: int, base):
+        """Faulty packed values over ``k`` words for a block of plans.
 
         Returns ``get(line) -> ndarray`` where rows are faults.  Lines
         untouched by every fault in the block resolve to the shared
         baseline row; the union of the block's cone schedules is
         evaluated once, vectorized over the fault axis (re-evaluating an
         op for rows whose fault does not reach it reproduces the
-        baseline, so the union schedule is exact).
-
-        ``full`` is the valid-bit word for forcing and complements; it
-        defaults to the truth-table word but pattern-space callers
-        (:meth:`pattern_bits`) pass all 64 bits — their word axis packs
-        an explicit pattern list, not the ``2**n`` point space.
+        baseline, so the union schedule is exact).  The word axis holds
+        patterns, not the ``2**n`` point space, so forcing and
+        complements use all 64 bits of every word.
         """
         np = _np
         block = len(plans)
-        k = w1 - w0
-        if full is None:
-            full = self.full_word
+        full = np.uint64(_FULL64)
         comp = self.compiled
         stem_rows: dict = {}
         pin_rows: dict = {}
@@ -430,14 +278,11 @@ class VectorizedBackend:
             arr = values.get(idx)
             return base[idx] if arr is None else arr
 
-        def force(idx: int, rows) -> None:
-            arr = values.get(idx)
-            if arr is None:
-                arr = base[idx]
-            arr = np.array(np.broadcast_to(arr, (block, k)))
+        def forced_copy(arr, rows):
+            out = np.array(np.broadcast_to(arr, (block, k)))
             for row, forced in rows:
-                arr[row, :] = full if forced else np.uint64(0)
-            values[idx] = arr
+                out[row, :] = full if forced else np.uint64(0)
+            return out
 
         if _REG.enabled:
             _M_OPS.inc(len(schedule), backend="vectorized")
@@ -448,7 +293,7 @@ class VectorizedBackend:
         # again after their driving op runs: forced values win, exactly
         # as the scalar plans resolve stem-over-pin conflicts).
         for idx, rows in stem_rows.items():
-            force(idx, rows)
+            values[idx] = forced_copy(get(idx), rows)
         for pos in sorted(schedule):
             op = comp.ops[pos]
             operands = [get(src) for src in op.srcs]
@@ -458,126 +303,11 @@ class VectorizedBackend:
                 for row, slot, forced in overrides:
                     by_slot.setdefault(slot, []).append((row, forced))
                 for slot, rows in by_slot.items():
-                    forced_arr = np.array(
-                        np.broadcast_to(operands[slot], (block, k))
-                    )
-                    for row, forced in rows:
-                        forced_arr[row, :] = full if forced else np.uint64(0)
-                    operands[slot] = forced_arr
+                    operands[slot] = forced_copy(operands[slot], rows)
             result = _eval_words(op.kind, operands, full)
             rows = stem_rows.get(op.out)
-            if rows:
-                force_src = np.array(np.broadcast_to(result, (block, k)))
-                for row, forced in rows:
-                    force_src[row, :] = full if forced else np.uint64(0)
-                values[op.out] = force_src
-            else:
-                values[op.out] = result
+            values[op.out] = forced_copy(result, rows) if rows else result
         return get
-
-    def _block_masks(self, faults: Sequence[FaultLike]):
-        """Full-table ``(affected, detected, violations)`` arrays, shape
-        ``(len(faults), words)`` each.  Unchunked tables only."""
-        np = _np
-        comp = self.compiled
-        plans = [comp.fault_plan(fault) for fault in faults]
-        base = self._full_baseline()
-        get = self._block_outputs(plans, 0, self.words, base)
-        block = len(plans)
-        shape = (block, self.words)
-        full = self.full_word
-        wrong = np.zeros(shape, dtype=np.uint64)
-        detected = np.zeros(shape, dtype=np.uint64)
-        all_alt = np.full(shape, full, dtype=np.uint64)
-        for pos, idx in enumerate(comp.out_idx):
-            t_fault = np.broadcast_to(
-                np.asarray(get(idx), dtype=np.uint64), shape
-            )
-            wrong |= t_fault ^ base[idx]
-            alt = t_fault ^ self._reflect_full(t_fault)
-            detected |= ~alt & full
-            all_alt &= alt
-        affected = wrong | self._reflect_full(wrong)
-        violations = affected & all_alt
-        return affected, detected, violations
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def line_bits(self, fault: Optional[FaultLike] = None) -> List[int]:
-        """Every line's truth-table mask as a big int, optionally under a
-        fault — byte-identical to :meth:`BitmaskBackend.line_bits`."""
-        comp = self.compiled
-        plans = [comp.fault_plan(fault)] if fault is not None else []
-        pieces: List[List[bytes]] = [[] for _ in comp.names]
-        for w0, w1 in self._ranges():
-            base = (
-                self._full_baseline()
-                if not self.chunked
-                else self._baseline_words(w0, w1)
-            )
-            if plans:
-                get = self._block_outputs(plans, w0, w1, base)
-            else:
-                def get(idx, _base=base):  # noqa: E731 - closure per range
-                    return _base[idx]
-            for idx in range(len(comp.names)):
-                arr = _np.asarray(get(idx), dtype=_np.uint64)
-                if arr.ndim == 2:  # single-fault block: one row
-                    arr = arr[0]
-                row = _np.broadcast_to(arr, (w1 - w0,))
-                pieces[idx].append(row.astype("<u8").tobytes())
-        return [
-            int.from_bytes(b"".join(parts), "little") for parts in pieces
-        ]
-
-    def output_bits(self, fault: Optional[FaultLike] = None) -> Tuple[int, ...]:
-        bits = self.line_bits(fault)
-        return tuple(bits[i] for i in self.compiled.out_idx)
-
-    def response_block(
-        self, faults: Sequence[FaultLike]
-    ) -> List[Tuple[int, int, int]]:
-        """``(affected, detected, violations)`` big-int masks per fault,
-        byte-identical to the scalar classification."""
-        out: List[Tuple[int, int, int]] = []
-        for start in range(0, len(faults), self.block_faults):
-            block = faults[start : start + self.block_faults]
-            if self.chunked:
-                out.extend(self._response_block_chunked(block))
-                continue
-            affected, detected, violations = self._block_masks(block)
-            for row in range(len(block)):
-                out.append(
-                    (
-                        _words_to_int(affected[row]),
-                        _words_to_int(detected[row]),
-                        _words_to_int(violations[row]),
-                    )
-                )
-        return out
-
-    def sweep_statuses(
-        self,
-        faults: Sequence[FaultLike],
-        block_faults: Optional[int] = None,
-    ) -> List[str]:
-        """Classify every fault (``dangerous``/``detected``/``silent``)."""
-        universe = list(faults)
-        if self.chunked:
-            return self._sweep_statuses_chunked(universe)
-        block_size = block_faults or self.block_faults
-        statuses: List[str] = []
-        for start in range(0, len(universe), block_size):
-            block = universe[start : start + block_size]
-            _affected, detected, violations = self._block_masks(block)
-            has_det = _np.any(detected != 0, axis=1)
-            has_vio = _np.any(violations != 0, axis=1)
-            statuses.extend(
-                classify_status(bool(d), bool(v))
-                for d, v in zip(has_det, has_vio)
-            )
-        return statuses
 
     def pattern_bits(
         self,
@@ -627,23 +357,15 @@ class VectorizedBackend:
             _M_OPS.inc(len(comp.ops), backend="vectorized")
             _M_WORDS.inc(len(comp.ops) * n_words, backend="vectorized")
 
-        def row_ints(get, row: Optional[int] = None) -> Tuple[int, ...]:
-            out: List[int] = []
-            for idx in comp.out_idx:
-                arr = np.asarray(get(idx), dtype=np.uint64)
-                if row is not None and arr.ndim == 2:
-                    arr = arr[row]
-                arr = np.broadcast_to(arr, (n_words,))
-                out.append(_words_to_int(arr) & valid)
-            return tuple(out)
-
         if faults is None:
-            return row_ints(lambda idx: base[idx])
+            return tuple(
+                _words_to_int(base[idx]) & valid for idx in comp.out_idx
+            )
         results: List[Tuple[int, ...]] = []
         for start in range(0, len(faults), self.block_faults):
             chunk = faults[start : start + self.block_faults]
             plans = [comp.fault_plan(fault) for fault in chunk]
-            get = self._block_outputs(plans, 0, n_words, base, full=full64)
+            get = self._block_outputs(plans, n_words, base)
             # One bulk numpy->python conversion per output column beats
             # a per-(row, output) broadcast + int round trip — this is
             # the driver's hot loop (every target simulates candidates
@@ -669,118 +391,19 @@ class VectorizedBackend:
                     )
         return results
 
-    # ------------------------------------------------------------------
-    # chunked (wide-input) path: mirror chunk pairs bound memory
-    # ------------------------------------------------------------------
-    def _ranges(self) -> List[Tuple[int, int]]:
-        """Word ranges to evaluate: the full table, or successive chunks."""
-        if not self.chunked:
-            return [(0, self.words)]
-        k = self.chunk_words
-        return [(lo, lo + k) for lo in range(0, self.words, k)]
-
-    def _pair_masks(self, plans, lo: int):
-        """Pair-classification arrays for mirror chunks ``[lo, lo+K)``
-        and ``[W-lo-K, W-lo)``.  The complement of a word in one chunk
-        lands in the other, so alternation is local to the pair."""
-        np = _np
-        k = self.chunk_words
-        w = self.words
-        full = self.full_word
-        comp = self.compiled
-        base_a = self._baseline_words(lo, lo + k)
-        base_b = self._baseline_words(w - lo - k, w - lo)
-        get_a = self._block_outputs(plans, lo, lo + k, base_a)
-        get_b = self._block_outputs(plans, w - lo - k, w - lo, base_b)
-        shape = (len(plans), k)
-        wrong_a = np.zeros(shape, dtype=np.uint64)
-        wrong_b = np.zeros(shape, dtype=np.uint64)
-        det = np.zeros(shape, dtype=np.uint64)
-        det_b = np.zeros(shape, dtype=np.uint64)
-        alt_all_a = np.full(shape, full, dtype=np.uint64)
-        alt_all_b = np.full(shape, full, dtype=np.uint64)
-        for pos, idx in enumerate(comp.out_idx):
-            t_a = np.broadcast_to(np.asarray(get_a(idx), np.uint64), shape)
-            t_b = np.broadcast_to(np.asarray(get_b(idx), np.uint64), shape)
-            wrong_a |= t_a ^ base_a[idx]
-            wrong_b |= t_b ^ base_b[idx]
-            # Reflection of the table restricted to chunk A reads the
-            # mirror chunk B with words reversed and bits reversed.
-            alt_a = t_a ^ _bitrev64(t_b)[..., ::-1]
-            alt_b = t_b ^ _bitrev64(t_a)[..., ::-1]
-            det |= ~alt_a & full
-            det_b |= ~alt_b & full
-            alt_all_a &= alt_a
-            alt_all_b &= alt_b
-        aff_a = wrong_a | _bitrev64(wrong_b)[..., ::-1]
-        aff_b = wrong_b | _bitrev64(wrong_a)[..., ::-1]
-        vio_a = aff_a & alt_all_a
-        vio_b = aff_b & alt_all_b
-        return (aff_a, det, vio_a), (aff_b, det_b, vio_b)
-
-    def _sweep_statuses_chunked(self, universe: List[FaultLike]) -> List[str]:
-        np = _np
-        comp = self.compiled
-        total = len(universe)
-        has_det = np.zeros(total, dtype=bool)
-        has_vio = np.zeros(total, dtype=bool)
-        k = self.chunk_words
-        for lo in range(0, self.words // 2, k):
-            for start in range(0, total, self.block_faults):
-                block = universe[start : start + self.block_faults]
-                plans = [comp.fault_plan(fault) for fault in block]
-                masks_a, masks_b = self._pair_masks(plans, lo)
-                for _aff, det, vio in (masks_a, masks_b):
-                    has_det[start : start + len(block)] |= np.any(
-                        det != 0, axis=1
-                    )
-                    has_vio[start : start + len(block)] |= np.any(
-                        vio != 0, axis=1
-                    )
-        return [
-            classify_status(bool(d), bool(v))
-            for d, v in zip(has_det, has_vio)
-        ]
-
-    def _response_block_chunked(
-        self, block: Sequence[FaultLike]
-    ) -> List[Tuple[int, int, int]]:
-        """Full masks in chunked mode (assembled per chunk pair; meant
-        for tests and spot checks, not bulk sweeps)."""
-        comp = self.compiled
-        plans = [comp.fault_plan(fault) for fault in block]
-        k = self.chunk_words
-        parts: dict = {}
-        for lo in range(0, self.words // 2, k):
-            masks_a, masks_b = self._pair_masks(plans, lo)
-            parts[lo] = masks_a
-            parts[self.words - lo - k] = masks_b
-        out: List[Tuple[int, int, int]] = []
-        for row in range(len(block)):
-            triple: List[int] = []
-            for which in range(3):
-                chunks = [
-                    parts[lo][which][row].astype("<u8").tobytes()
-                    for lo in sorted(parts)
-                ]
-                triple.append(int.from_bytes(b"".join(chunks), "little"))
-            out.append(tuple(triple))
-        return out
-
 
 def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[str]:
-    """Classify one chunk of faults on a resolved block backend.
+    """Classify one chunk of faults on a resolved sweep rung.
 
     This is the single chunk-level entry point shared by the serial
     campaign driver and every execution transport's worker loop
     (:func:`repro.engine.transport.fork.run_chunk_jobs` resolves it
-    late, so chaos patches land everywhere), which is why every rung of
-    the degradation ladder classifies byte-identically.  ``engine``
-    is a :class:`~repro.engine.NetworkEngine`; ``backend`` is a resolved
-    name (``kernel`` / ``vectorized`` / ``fallback`` / ``bitmask``) —
-    ``kernel`` and ``vectorized`` quietly degrade down the ladder when
-    NumPy is absent or the circuit exceeds the kernel ceiling (the
-    selection already happened upstream).
+    late, so chaos patches land everywhere), which is why both rungs
+    classify byte-identically.  ``engine`` is a
+    :class:`~repro.engine.NetworkEngine`; ``backend`` is a resolved name
+    (``kernel`` / ``bitmask``).  A ``kernel`` chunk that fails — NumPy
+    absent included — raises, and the supervisor steps the remainder
+    down to ``bitmask``.
     """
     universe = list(faults)
     if backend == "synth":
@@ -797,23 +420,16 @@ def chunk_statuses(engine, faults: Sequence[FaultLike], backend: str) -> List[st
         if _REG.enabled:
             _M_CHUNKS.inc(len(universe), backend=backend)
         return payloads
-    if backend == "kernel" and getattr(engine, "kernel", None) is None:
-        backend = "vectorized"
-    if backend == "vectorized" and engine.vectorized is None:
-        backend = "fallback"
-    if backend not in ("kernel", "vectorized", "fallback", "bitmask"):
+    if backend not in ("kernel", "bitmask"):
         raise ValueError(f"unknown chunk backend {backend!r}")
     # Every rung classifies through this span: the flight's count of
     # successful "sweep.chunk" spans equals the report's chunk ledger.
     with obs.span("sweep.chunk", faults=len(universe), backend=backend):
         if backend == "kernel":
+            if engine.kernel is None:
+                raise RuntimeError("the kernel rung needs NumPy")
             statuses = engine.kernel.sweep_statuses(universe)
-        elif backend == "vectorized":
-            statuses = engine.vectorized.sweep_statuses(universe)
-        elif backend == "fallback":
-            statuses = engine.packed.sweep_statuses(universe)
         else:
-            # "bitmask": the scalar per-fault big-int path.
             packed = engine.packed
             statuses = [
                 classify_status(det, vio)
@@ -906,27 +522,9 @@ def chunk_pattern_bits(
         return _pointwise_pattern_bits(engine, patterns, faults)
 
 
-def vectorized_backend_for(
-    compiled: CompiledNetwork,
-    bitmask: Optional[BitmaskBackend] = None,
-    prefer_numpy: bool = True,
-):
-    """The best available block backend: NumPy when importable (and
-    preferred), the pure-Python packed fallback otherwise."""
-    if prefer_numpy and HAVE_NUMPY:
-        return VectorizedBackend(compiled)
-    return PackedFallbackBackend(compiled, bitmask)
-
-
 # ----------------------------------------------------------------------
-# word-level primitives (NumPy path)
+# word-level primitives (NumPy path; the kernel reuses them)
 # ----------------------------------------------------------------------
-def _bitrev64(arr):
-    """Element-wise 64-bit reversal: per-byte table + byteswap."""
-    a = _np.ascontiguousarray(arr, dtype=_np.uint64)
-    return _REV8[a.view(_np.uint8)].view(_np.uint64).byteswap()
-
-
 def _words_to_int(row) -> int:
     """One packed row back to the repo's big-int truth-table form."""
     return int.from_bytes(

@@ -23,22 +23,6 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-MAX_COMPLEMENT_CACHE_VARS = 16
-
-_reflect_cache: Dict[int, Tuple[int, ...]] = {}
-
-
-def _complement_permutation(n: int) -> Tuple[int, ...]:
-    """``perm[i] = i ^ (2**n - 1)`` with caching for small n."""
-    if n in _reflect_cache:
-        return _reflect_cache[n]
-    mask = (1 << n) - 1
-    perm = tuple(i ^ mask for i in range(1 << n))
-    if n <= MAX_COMPLEMENT_CACHE_VARS:
-        _reflect_cache[n] = perm
-    return perm
-
-
 @dataclasses.dataclass(frozen=True)
 class TruthTable:
     """A boolean function of ``n`` named variables as a ``2**n``-bit mask."""
@@ -168,13 +152,9 @@ class TruthTable:
         chapter-3 equation that mentions ``F(X̄, ...)`` is, in bitmask
         form, a ``co_reflect`` of the corresponding first-period table.
         """
-        perm = _complement_permutation(self.n)
-        bits = 0
-        src = self.bits
-        for i in range(1 << self.n):
-            if (src >> i) & 1:
-                bits |= 1 << perm[i]
-        return TruthTable(self.n, bits, self.names)
+        from ..engine.compiled import reflect_bits
+
+        return TruthTable(self.n, reflect_bits(self.bits, self.n), self.names)
 
     def dual(self) -> "TruthTable":
         """The dual function ``F^d(X) = ¬F(X̄)``."""

@@ -10,9 +10,9 @@ around.  The registered invariants:
 * ``backend-agreement`` — bitmask / pointwise / sampled backends agree
   bit-for-bit with the naive reference interpreter, fault-free and under
   every single stem/pin fault (the differential anchor for PR 1's
-  single-engine seam); the fault-batched block backends (packed
-  fallback, and NumPy vectorized when installed) match the same tables
-  and produce byte-identical sweep statuses.
+  single-engine seam); the packed classifier matches the same tables,
+  and the codegen kernel sweep rung (when NumPy is installed) produces
+  byte-identical sweep statuses.
 * ``alternation-self-dual`` — a synthesized self-dual network satisfies
   ``F(X̄) = ¬F(X)`` at every point (Definition 2.5 / Theorem 2.1), per
   the reference interpreter, and the engine's tables match it.
@@ -63,11 +63,7 @@ from ..core.atpg import Podem
 from ..core.collapse import collapse_stem_faults, equivalence_collapse
 from ..core.simulate import ScalSimulator
 from ..engine import FaultSweep, NetworkEngine
-from ..engine.vectorized import (
-    HAVE_NUMPY,
-    PackedFallbackBackend,
-    VectorizedBackend,
-)
+from ..engine.vectorized import HAVE_NUMPY, PackedFallbackBackend
 from ..logic.faults import enumerate_single_faults, enumerate_stem_faults
 from ..logic.network import Network
 from ..scal.codeconv import to_code_conversion
@@ -146,9 +142,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
     universe = [None] + enumerate_single_faults(net, collapse=False)
     all_points = list(range(1 << n))
     packed = PackedFallbackBackend(engine.compiled, engine.bitmask)
-    vectorized = (
-        VectorizedBackend(engine.compiled) if HAVE_NUMPY else None
-    )
     for fault in universe:
         label = fault.describe() if fault is not None else "fault-free"
         expected = reference_output_bits(net, fault)
@@ -164,13 +157,6 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
                 f"packed fallback backend disagrees with reference under "
                 f"{label}: {got_packed} != {expected}"
             )
-        if vectorized is not None:
-            got_vec = vectorized.output_bits(fault)
-            if got_vec != expected:
-                return (
-                    f"vectorized backend disagrees with reference under "
-                    f"{label}: {got_vec} != {expected}"
-                )
         for index in all_points:
             point = point_tuple(n, index)
             want = reference_outputs(net, point, fault)
@@ -187,39 +173,25 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
         ]
         if [tuple(v) for v in sampled] != want_all:
             return f"sampled backend disagrees with reference under {label}"
-    # Fault statuses must be byte-identical across the sweep backends
-    # (the vectorized classification is a re-derivation, not a reuse, of
-    # the scalar one — this is the differential check that keeps them
+    # Fault statuses must be byte-identical across the sweep rungs (the
+    # kernel classification is a re-derivation, not a reuse, of the
+    # scalar one — this is the differential check that keeps them
     # locked together).
     sweep = FaultSweep(net, engine=engine)
     faults = [f for f in universe if f is not None]
     scalar = [status for _f, status in sweep.sweep(faults, backend="bitmask")]
-    fallback = packed.sweep_statuses(faults)
-    if fallback != scalar:
-        return (
-            "packed fallback statuses diverge from scalar bitmask: "
-            f"{fallback} != {scalar}"
-        )
-    if vectorized is not None:
-        vec_statuses = vectorized.sweep_statuses(faults)
-        if vec_statuses != scalar:
-            return (
-                "vectorized statuses diverge from scalar bitmask: "
-                f"{vec_statuses} != {scalar}"
-            )
-        # The codegen kernel tier re-derives the classification a third
-        # way (specialized straight-line source, folded seeds, fused
-        # pair check) — exercise single-threaded and tiled/threaded
-        # variants, fresh each time so no kernel cache is trusted.
+    if HAVE_NUMPY:
+        # The codegen kernel rung re-derives the classification from
+        # specialized straight-line source (folded seeds, fused pair
+        # check) — exercise single-threaded and tiled/threaded variants,
+        # fresh each time so no kernel cache is trusted.
         from ..engine.kernels import KernelBackend
 
         for label, kwargs in (
-            ("kernel", {}),
+            ("kernel", {"threads": 1}),
             ("kernel[tiled,threads=2]", {"tile_words": 1, "threads": 2}),
         ):
-            kern = KernelBackend(
-                engine.compiled, vectorized=vectorized, **kwargs
-            )
+            kern = KernelBackend(engine.compiled, **kwargs)
             kern_statuses = kern.sweep_statuses(faults)
             if kern_statuses != scalar:
                 return (
@@ -231,7 +203,7 @@ def _check_backend_agreement(case: Case) -> Optional[str]:
 
 backend_agreement = register(
     "backend-agreement",
-    "bitmask/pointwise/sampled/packed/vectorized/kernel backends match "
+    "bitmask/pointwise/sampled/packed/kernel backends match "
     "the naive interpreter bit-for-bit under every single fault, with "
     "identical sweep statuses",
 )((_gen_mixed, _check_backend_agreement))

@@ -472,7 +472,7 @@ def _execute_campaign(
     run — statuses are deterministic either way).
     """
     from .core.collapse import collapsed_single_faults
-    from .engine import FaultSweep, universe_fingerprint
+    from .engine import FaultSweep, NetworkEngine, universe_fingerprint
     from .logic.benchfmt import BenchFormatError, parse_bench
 
     if cancel is not None:
@@ -485,7 +485,10 @@ def _execute_campaign(
         except BenchFormatError as error:
             raise RequestError(f"netlist does not parse: {error}")
         STORE.put("network", text_fp, value=network)
-    sweep = FaultSweep(network)
+    # A request-scoped engine: repeats replay from the store, so a shared
+    # engine's baselines and kernels would only pin memory for as long
+    # as the parsed network stays in the store.
+    sweep = FaultSweep(network, engine=NetworkEngine(network))
     if request["collapse"]:
         universe = list(collapsed_single_faults(network))
     else:

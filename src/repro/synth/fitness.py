@@ -1,4 +1,4 @@
-"""Candidate fitness: vectorized alternation sweeps + fault coverage.
+"""Candidate fitness: exhaustive alternation sweeps + fault coverage.
 
 A candidate's fitness has four graded components, each derived from the
 same machinery the verification paths use (so the search optimizes the
@@ -9,14 +9,16 @@ real acceptance criteria, not a proxy):
 * **self-duality** — the number of points where ``F(X̄) ≠ ¬F(X)``
   (:func:`repro.engine.reflect_bits` over the same tables);
 * **coverage** — the collapsed stuck-at universe swept through
-  :func:`repro.engine.vectorized.chunk_statuses` on the word-axis block
-  backends; ``dangerous`` faults (wrong *and* still alternating) are
-  the self-checking violations the search minimizes;
+  :func:`repro.engine.vectorized.chunk_statuses` on the rung
+  :func:`~repro.engine.vectorized.select_backend` picks (Python ints for
+  the one-word tables genomes usually have); ``dangerous`` faults
+  (wrong *and* still alternating) are the self-checking violations the
+  search minimizes;
 * **area** — :func:`repro.scal.costs.network_cost` under the Table 4.1
   unit model, a small pressure toward the Pareto front's cheap end.
 
 The module exposes two evaluators with byte-identical records: the
-**batched** path (big-int tables + block-backend sweeps — what
+**batched** path (big-int tables + chunk sweeps — what
 campaigns use) and the **scalar** path (per-point pointwise simulation
 per fault — the bench baseline that prices the batching).
 
@@ -153,7 +155,7 @@ def _scalar_statuses(
 ) -> Tuple[Tuple[int, ...], List[str]]:
     """Per-fault scalar classification replicating
     :meth:`PackedFallbackBackend.response_triple` arithmetic exactly, so
-    statuses match the block backends bit for bit."""
+    statuses match both sweep rungs bit for bit."""
     n = engine.compiled.n_inputs
     full = (1 << (1 << n)) - 1
     normal = _scalar_tables(engine, None)

@@ -19,6 +19,7 @@ from repro.engine.vectorized import (
     PackedFallbackBackend,
     VectorizedBackend,
 )
+from repro.engine.kernels import KernelBackend
 from repro.logic.benchfmt import load_bench
 from repro.logic.faults import enumerate_single_faults, fault_overrides
 from repro.logic.gates import evaluate as eval_gate
@@ -131,8 +132,9 @@ class TestSingleFaultEquivalence:
 
 
 class TestVectorizedEquivalence:
-    """The fault-batched block backends must agree bit-for-bit with the
-    scalar bitmask backend, fault-free and under every single fault."""
+    """The packed-word backends — pure-Python and NumPy — must agree
+    bit-for-bit with the scalar bitmask backend, fault-free and under
+    every single fault."""
 
     def test_fallback_output_bits_match_bitmask(self, circuit):
         engine = engine_for(circuit)
@@ -145,58 +147,82 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_vectorized_line_bits_match_bitmask(self, circuit):
+        """The kernel's NumPy slab baselines hold every fault-free line
+        table, and NumPy pattern simulation over the whole point list
+        reproduces each faulty output table."""
         engine = engine_for(circuit)
+        kern = KernelBackend(engine.compiled, tile_words=1)
+        slabs = kern._baseline()
+        for idx, want in enumerate(engine.bitmask.line_bits()):
+            words = {}
+            for ranges, slab in zip(kern._slabs, slabs):
+                order = [w for r0, r1 in ranges for w in range(r0, r1)]
+                words.update(zip(order, slab.base[idx].tolist()))
+            got = sum(words[w] << (64 * w) for w in words)
+            assert got == want, engine.compiled.names[idx]
         vec = VectorizedBackend(engine.compiled)
-        assert vec.line_bits() == engine.bitmask.line_bits()
+        points = list(range(1 << len(circuit.inputs)))
         for fault in enumerate_single_faults(circuit):
-            assert vec.line_bits(fault) == engine.bitmask.line_bits(
-                fault
-            ), fault.describe()
+            (got,) = vec.pattern_bits(points, [fault])
+            assert got == engine.bitmask.output_bits(fault), fault.describe()
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_vectorized_response_blocks_match_scalar(self, circuit):
+        """Whole fault blocks on the NumPy paths: pattern simulation of
+        the universe in blocks and the kernel's statuses both match the
+        scalar per-fault responses."""
         sweep = FaultSweep(circuit)
         universe = sweep.single_fault_universe()
-        vec = VectorizedBackend(sweep.compiled)
-        triples = vec.response_block(universe)
-        for fault, triple in zip(universe, triples):
-            bits = sweep.response_bits(fault)
-            assert triple == (
-                bits.affected,
-                bits.detected,
-                bits.violations,
-            ), fault.describe()
+        points = list(range(1 << sweep.n))
+        rows = VectorizedBackend(sweep.compiled, block_faults=7).pattern_bits(
+            points, universe
+        )
+        kern = KernelBackend(sweep.compiled, block_faults=7)
+        statuses = kern.sweep_statuses(universe)
+        for fault, row, status in zip(universe, rows, statuses):
+            assert row == sweep.bitmask.output_bits(fault), fault.describe()
+            assert status == sweep.response_bits(fault).status
 
     def test_sweep_statuses_identical_across_backends(self, circuit):
         sweep = FaultSweep(circuit)
         universe = sweep.single_fault_universe()
         reference = [(f, sweep.classify(f)) for f in universe]
         assert sweep.sweep(universe, backend="bitmask") == reference
-        assert sweep.sweep(universe, backend="fallback") == reference
-        assert sweep.sweep(universe, backend="vectorized") == reference
         assert sweep.sweep(universe, backend="kernel") == reference
         assert sweep.sweep(universe, backend="auto") == reference
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
     def test_chunked_word_axis_matches_scalar(self, circuit):
-        """Tiny chunk_words forces the mirror-chunk-pair path even on
-        the seed circuits (the 9-input adder gets real multi-chunk
-        sweeps: 8 words at chunk size 1 and 2)."""
+        """Tiny tile_words forces the kernel's mirror-slab path even on
+        the seed circuits (the 9-input adder gets real multi-slab
+        sweeps: 8 words at tile size 1 and 2)."""
         if len(circuit.inputs) < 7:
-            pytest.skip("needs a multi-word truth table to chunk")
+            pytest.skip("needs a multi-word truth table to tile")
         sweep = FaultSweep(circuit)
         universe = sweep.single_fault_universe()
         reference = [sweep.classify(f) for f in universe]
-        for chunk_words in (1, 2):
-            vec = VectorizedBackend(sweep.compiled, chunk_words=chunk_words)
-            assert vec.chunked
-            assert vec.sweep_statuses(universe) == reference
-        triples = VectorizedBackend(
-            sweep.compiled, chunk_words=1
-        ).response_block(universe[:12])
-        for fault, triple in zip(universe[:12], triples):
-            bits = sweep.response_bits(fault)
-            assert triple == (bits.affected, bits.detected, bits.violations)
+        for tile_words in (1, 2):
+            kern = KernelBackend(sweep.compiled, tile_words=tile_words)
+            assert len(kern._slabs) > 1
+            assert kern.sweep_statuses(universe) == reference
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_reflect_bits_is_the_index_complement(n):
+    """``reflect_bits`` moves the bit of point ``i`` to point
+    ``i ^ (2**n - 1)``, for tables of every width up to 12 inputs."""
+    from repro.engine import reflect_bits
+    from repro.logic.truthtable import TruthTable
+
+    size = 1 << n
+    rng = random.Random(n)
+    for bits in (0, (1 << size) - 1, 1, rng.getrandbits(size)):
+        want = 0
+        for i in range(size):
+            if (bits >> i) & 1:
+                want |= 1 << (i ^ (size - 1))
+        assert reflect_bits(bits, n) == want
+        assert TruthTable(n, bits).co_reflect().bits == want
 
 
 class TestBackendSelection:
@@ -204,30 +230,45 @@ class TestBackendSelection:
         assert select_backend(4, 100, n_points=1) == "pointwise"
         assert select_backend(4, 100, n_points=64) == "sampled"
 
+    def test_one_rule_by_table_size(self):
+        """One-word tables run on Python ints, wider ones on the
+        kernel; without NumPy everything runs on Python ints; explicit
+        points stay pointwise/sampled."""
+        for faults in (1, 500):
+            for n, numpy_available, rung in (
+                (6, True, "bitmask"),
+                (7, True, "kernel"),
+                (7, False, "bitmask"),
+            ):
+                assert select_backend(n, faults, numpy_available) == rung
+        assert select_backend(7, 500, n_points=1) == "pointwise"
+        assert select_backend(7, 500, n_points=9) == "sampled"
+
     def test_small_batches_stay_scalar(self):
         assert select_backend(4, 3, numpy_available=True) == "bitmask"
         assert select_backend(4, 3, numpy_available=False) == "bitmask"
 
     def test_large_batches_vectorize(self):
-        assert select_backend(4, 200, numpy_available=True) == "vectorized"
-        assert select_backend(4, 200, numpy_available=False) == "fallback"
+        # The fault count never decides the rung: a large batch on a
+        # one-word table stays on Python ints, a multi-word one runs on
+        # the NumPy kernel.
+        assert select_backend(4, 200, numpy_available=True) == "bitmask"
+        assert select_backend(9, 200, numpy_available=True) == "kernel"
+        assert select_backend(9, 200, numpy_available=False) == "bitmask"
 
     def test_wide_inputs_block_even_for_few_faults(self):
-        # Beyond the exhaustive limit the scalar bitmask rung never
-        # engages: 17-20 inputs land on the kernel tier, wider circuits
-        # on the chunked vectorized path.
+        # The kernel has no input ceiling: wide circuits land on it
+        # whatever the fault count.
         assert select_backend(20, 2, numpy_available=True) == "kernel"
-        assert select_backend(20, 2, numpy_available=False) == "fallback"
-        assert select_backend(24, 2, numpy_available=True) == "vectorized"
-        assert select_backend(24, 2, numpy_available=False) == "fallback"
+        assert select_backend(24, 2, numpy_available=True) == "kernel"
+        assert select_backend(24, 2, numpy_available=False) == "bitmask"
 
     def test_kernel_rung_engages_above_cold_crossover(self):
-        # n > 12 is where codegen wins even cold (BENCH_kernels.json);
-        # at or below it auto stays vectorized and the kernel tier is
-        # explicit-only.
-        assert select_backend(12, 200, numpy_available=True) == "vectorized"
-        assert select_backend(13, 200, numpy_available=True) == "kernel"
-        assert select_backend(13, 200, numpy_available=False) == "fallback"
+        # The crossover is one 64-bit word: NumPy set-up loses to Python
+        # ints on n <= 6 tables and wins above.
+        assert select_backend(6, 200, numpy_available=True) == "bitmask"
+        assert select_backend(7, 200, numpy_available=True) == "kernel"
+        assert select_backend(13, 200, numpy_available=False) == "bitmask"
 
     def test_unknown_backend_name_rejected(self):
         sweep = FaultSweep(fig34_network())
@@ -238,7 +279,7 @@ class TestBackendSelection:
 class TestWideInputGuard:
     """Circuits beyond the 25-input exhaustive ceiling must get a clear
     ``ValueError`` from the bitmask backend instead of an OOM attempt,
-    while the sampled/vectorized paths keep working (regression for the
+    while the sampled/kernel paths keep working (regression for the
     eager 2^n-bit ``full`` mask allocation)."""
 
     def _wide_net(self, n_inputs=30):
@@ -267,9 +308,13 @@ class TestWideInputGuard:
             sweep.full
 
     def test_selection_never_picks_bitmask_wide(self):
+        # With NumPy, wide tables stream through the kernel; without
+        # it no rung can sweep them exhaustively.
         for n in (26, 30, 40):
             for faults in (1, 4, 100):
-                assert select_backend(n, faults) != "bitmask"
+                assert select_backend(n, faults, numpy_available=True) != (
+                    "bitmask"
+                )
 
 
 class TestSweepDrivers:
@@ -287,11 +332,10 @@ class TestSweepDrivers:
         self, monkeypatch
     ):
         """Platforms without the fork start method must still serve
-        parallel requests — on the serial vectorized path, not by
-        silently degrading to per-fault scalar."""
+        parallel requests — in-process on the rung auto picked (the
+        kernel for the 9-input adder), not by silently degrading to
+        per-fault scalar."""
         import multiprocessing
-
-        import repro.engine.campaign as campaign_mod
 
         real_get_context = multiprocessing.get_context
 
@@ -301,12 +345,13 @@ class TestSweepDrivers:
             return real_get_context(method)
 
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        sweep = FaultSweep(fig37_fixed_network())
+        sweep = FaultSweep(SEED_CIRCUITS["adder4_bench"]())
         universe = sweep.single_fault_universe()
         reference = [(f, sweep.classify(f)) for f in universe]
         result = sweep.sweep(universe, processes=4)
         assert result == reference
-        assert sweep.last_sweep_backend in ("vectorized", "fallback")
+        rung = select_backend(sweep.n, len(universe))
+        assert sweep.last_sweep_backend == rung
         # The fallback is recorded, not silent: the campaign report
         # names the ladder step and the reason.
         assert any(

@@ -3,11 +3,13 @@
 Every test here is a differential check against the scalar classifier:
 the kernel tier re-derives the SCAL pair classification from generated
 straight-line source (folded constants, dead-line elimination, fused
-seeds), so nothing short of byte-identical statuses counts as passing.
-Covers the exec'd-NumPy rung, both Numba-probe branches (via a stub
-module — the tier must behave identically whether Numba is importable
-or not), single-threaded and tiled/threaded word axes, and the
-kernel cache against the content-addressed store.
+seeds, released dead values), so nothing short of byte-identical
+statuses counts as passing.  Covers the exec'd-NumPy rung, both
+Numba-probe branches (via a stub module — the tier must behave
+identically whether Numba is importable or not), single-threaded and
+tiled/threaded word axes, streamed slabs beyond the full-table ceiling,
+and the per-backend kernel cache (kernels never enter the
+content-addressed store).
 """
 
 import random
@@ -24,6 +26,7 @@ from repro.engine import (
 )
 from repro.engine.store import STORE
 from repro.engine.vectorized import HAVE_NUMPY, chunk_statuses
+from repro.logic.benchfmt import parse_bench
 from repro.logic.faults import StuckAt
 from repro.logic.gates import GateKind
 from repro.logic.network import Gate, Network
@@ -42,7 +45,7 @@ if HAVE_NUMPY:
 
 
 def scalar_statuses(engine, universe):
-    return engine.packed.sweep_statuses(universe)
+    return chunk_statuses(engine, universe, "bitmask")
 
 
 @pytest.fixture(params=sorted(SEED_CIRCUITS))
@@ -63,7 +66,7 @@ class TestKernelEquivalence:
         universe = FaultSweep(
             seed_circuit, engine=eng
         ).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         assert kern.sweep_statuses(universe) == scalar_statuses(
             eng, universe
         )
@@ -75,7 +78,6 @@ class TestKernelEquivalence:
         for block_faults in (1, 7, 16, len(universe)):
             kern = KernelBackend(
                 eng.compiled,
-                vectorized=eng.vectorized,
                 block_faults=block_faults,
             )
             assert kern.sweep_statuses(universe) == reference, block_faults
@@ -90,7 +92,6 @@ class TestKernelEquivalence:
         for threads in (1, 4):
             kern = KernelBackend(
                 eng.compiled,
-                vectorized=eng.vectorized,
                 tile_words=1,
                 threads=threads,
             )
@@ -100,7 +101,7 @@ class TestKernelEquivalence:
     def test_repeat_sweep_hits_prepared_blocks(self, mixed9):
         eng = engine_for(mixed9)
         universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         first = kern.sweep_statuses(universe)
         stats = kern.cache_stats()
         assert kern.sweep_statuses(universe) == first
@@ -121,7 +122,7 @@ class TestKernelEquivalence:
         )
         eng = engine_for(net)
         fault = StuckAt("dead", 1)
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         assert kern.sweep_statuses([fault]) == scalar_statuses(eng, [fault])
         (kobj,) = kern._kernels.values()
         assert kobj.tier == "const"
@@ -142,14 +143,14 @@ class TestKernelEquivalence:
         )
         eng = engine_for(net)
         universe = FaultSweep(net, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         assert kern.sweep_statuses(universe) == scalar_statuses(
             eng, universe
         )
         # Under a fault on `a`, g1 = AND(const0, a) folds to 0 and
         # g2 = OR(0, b) folds through to b: only the forced line and
         # the output op survive in the generated body.
-        kern_a = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern_a = KernelBackend(eng.compiled)
         kern_a.sweep_statuses([StuckAt("a", 1)])
         (kobj,) = kern_a._kernels.values()
         assert kobj.n_ops <= 3
@@ -158,24 +159,58 @@ class TestKernelEquivalence:
         assert "v3" not in kobj.source
         # A fault *on the constant itself* must override the fold: z
         # stuck-at-1 flips g1 to a, and the statuses still match.
-        kern_z = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern_z = KernelBackend(eng.compiled)
         assert kern_z.sweep_statuses(
             [StuckAt("z", 1)]
         ) == scalar_statuses(eng, [StuckAt("z", 1)])
 
 
+#: A 22-input circuit of a few gates: beyond the full-table ceiling, so
+#: the kernel streams its 16 mirror slabs, yet cheap on the bitmask rung.
+WIDE22 = "\n".join(
+    [f"INPUT(x{i})" for i in range(22)]
+    + ["OUTPUT(f)", "OUTPUT(g)"]
+    + [
+        "p = NAND(x0, x7, x13)",
+        "q = XOR(x2, x9, x21)",
+        "r = NOR(x4, x16)",
+        "s = OR(p, r)",
+        "f = XNOR(s, q, x20)",
+        "g = AND(q, x6, x11)",
+    ]
+)
+
+
 class TestKernelCeilingAndSelection:
-    def test_too_wide_raises_value_error(self):
-        net = random_mixed_network(
-            random.Random(1),
-            n_inputs=KERNEL_MAX_INPUTS + 1,
-            n_gates=30,
-            n_outputs=2,
+    def test_wide_circuit_beyond_ceiling_matches_bitmask(self):
+        """No input ceiling: 22 inputs stream slab by slab, and the
+        statuses are byte-identical to the bitmask rung."""
+        assert 22 > KERNEL_MAX_INPUTS
+        net = parse_bench(WIDE22)
+        eng = NetworkEngine(net)
+        universe = FaultSweep(net, engine=eng).single_fault_universe()
+        kern = eng.kernel
+        assert kern is not None and kern.streamed
+        assert len(kern._slabs) == 16
+        assert kern.sweep_statuses(universe) == scalar_statuses(
+            eng, universe
         )
-        eng = engine_for(net)
-        with pytest.raises(ValueError, match="kernel backend supports"):
-            KernelBackend(eng.compiled)
-        assert eng.kernel is None
+
+    def test_streamed_slabs_match_and_release_baselines(
+        self, monkeypatch, mixed9
+    ):
+        """A lowered ceiling forces the streamed-slab path on a narrow
+        circuit: byte-identical statuses, serial and threaded, and no
+        per-slab baseline retained after the sweep."""
+        monkeypatch.setattr(kernels, "KERNEL_MAX_INPUTS", 4)
+        eng = engine_for(mixed9)
+        universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
+        reference = scalar_statuses(eng, universe)
+        for threads in (1, 2):
+            kern = KernelBackend(eng.compiled, tile_words=1, threads=threads)
+            assert kern.streamed and len(kern._slabs) == 4
+            assert kern.sweep_statuses(universe) == reference, threads
+            assert kern._slab_state is None
 
     def test_engine_kernel_property_lazy_and_shared(self, mixed9):
         eng = NetworkEngine(mixed9)
@@ -190,9 +225,10 @@ class TestKernelCeilingAndSelection:
             eng, universe
         )
 
-    def test_chunk_statuses_degrades_without_kernel(self, mixed9):
-        """A resolved "kernel" chunk lands on vectorized/fallback when
-        the engine cannot build the tier (worker-side degradation)."""
+    def test_kernel_unavailable_degrades_to_bitmask(self, mixed9):
+        """An engine that cannot build the kernel fails its kernel
+        chunks, and the sweep steps down to the bitmask rung once, with
+        the step recorded."""
 
         class NoKernelEngine(NetworkEngine):
             @property
@@ -200,9 +236,16 @@ class TestKernelCeilingAndSelection:
                 return None
 
         eng = NoKernelEngine(mixed9)
-        universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        assert chunk_statuses(eng, universe, "kernel") == scalar_statuses(
-            eng, universe
+        sweep = FaultSweep(mixed9, engine=eng)
+        universe = sweep.single_fault_universe()
+        with pytest.raises(RuntimeError, match="needs NumPy"):
+            chunk_statuses(eng, universe, "kernel")
+        result = sweep.sweep(universe, backend="kernel")
+        assert [s for _, s in result] == scalar_statuses(eng, universe)
+        assert sweep.last_report.block_backend == "bitmask"
+        assert any(
+            d.frm == "serial" and d.to == "scalar"
+            for d in sweep.last_report.degradations
         )
 
     def test_fault_sweep_kernel_backend_reported(self, mixed9):
@@ -214,9 +257,9 @@ class TestKernelCeilingAndSelection:
         )
         assert sweep.last_report.block_backend == "kernel"
 
-    def test_auto_never_picks_kernel_beyond_ceiling(self):
+    def test_auto_picks_kernel_beyond_full_table_ceiling(self):
         for n in range(KERNEL_MAX_INPUTS + 1, KERNEL_MAX_INPUTS + 6):
-            assert select_backend(n, 500, numpy_available=True) != "kernel"
+            assert select_backend(n, 500, numpy_available=True) == "kernel"
 
 
 class TestNumbaProbe:
@@ -245,7 +288,7 @@ class TestNumbaProbe:
         self._stub(monkeypatch, njit)
         eng = engine_for(mixed9)
         universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         assert kern.use_numba
         assert kern.sweep_statuses(universe) == scalar_statuses(
             eng, universe
@@ -269,7 +312,7 @@ class TestNumbaProbe:
         self._stub(monkeypatch, njit)
         eng = engine_for(mixed9)
         universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         assert kern.sweep_statuses(universe) == scalar_statuses(
             eng, universe
         )
@@ -281,9 +324,7 @@ class TestNumbaProbe:
     def test_without_numba_numpy_tier_serves(self, mixed9):
         eng = engine_for(mixed9)
         universe = FaultSweep(mixed9, engine=eng).single_fault_universe()
-        kern = KernelBackend(
-            eng.compiled, vectorized=eng.vectorized, use_numba=False
-        )
+        kern = KernelBackend(eng.compiled, use_numba=False)
         assert kern.sweep_statuses(universe) == scalar_statuses(
             eng, universe
         )
@@ -292,33 +333,33 @@ class TestNumbaProbe:
 
 
 class TestKernelStoreCache:
-    def test_store_hit_across_backends_of_same_program(self, monkeypatch):
+    """Kernels live in their backend (one per engine, shared per
+    network), never in the content-addressed store, which keeps only
+    request-level artifacts."""
+
+    def test_store_holds_no_kernels_and_engine_reuses_them(
+        self, monkeypatch
+    ):
         net = fig34_network()
-        eng = engine_for(net)
+        eng = NetworkEngine(net)
         universe = FaultSweep(net, engine=eng).single_fault_universe()
         monkeypatch.setattr(STORE, "enabled", True)
         STORE.clear()
         try:
-            first = KernelBackend(eng.compiled, vectorized=eng.vectorized)
-            reference = first.sweep_statuses(universe)
-            compiled_count = len(first._kernels)
+            sweep = FaultSweep(net, engine=eng)
+            first = sweep.sweep(universe, backend="kernel")
+            compiled_count = len(eng.kernel._kernels)
             assert compiled_count > 0
-            stored = sum(
-                1 for key in STORE._entries if key[0] == "kernel"
-            )
-            assert stored == compiled_count
-            hits_before = STORE.hits
-            second = KernelBackend(eng.compiled, vectorized=eng.vectorized)
-            assert second.sweep_statuses(universe) == reference
-            # every kernel came from the store, none were regenerated
-            assert STORE.hits - hits_before >= compiled_count
-            assert len(second._kernels) == compiled_count
+            assert not STORE._entries
+            assert sweep.sweep(universe, backend="kernel") == first
+            assert len(eng.kernel._kernels) == compiled_count
+            assert not STORE._entries
         finally:
             STORE.clear()
 
-    def test_different_program_never_shares_kernels(self, monkeypatch):
-        """The digest is keyed by program fingerprint: a different
-        network of the same shape misses and compiles its own set."""
+    def test_different_program_never_shares_kernels(self):
+        """Each program compiles its own set: a different network of
+        the same shape gets fresh kernels and its own statuses."""
         net_a = random_mixed_network(
             random.Random(10), n_inputs=5, n_gates=20, n_outputs=2
         )
@@ -326,31 +367,26 @@ class TestKernelStoreCache:
             random.Random(11), n_inputs=5, n_gates=20, n_outputs=2
         )
         eng_a, eng_b = engine_for(net_a), engine_for(net_b)
-        monkeypatch.setattr(STORE, "enabled", True)
-        STORE.clear()
-        try:
-            ka = KernelBackend(eng_a.compiled, vectorized=eng_a.vectorized)
-            ka.sweep_statuses(
-                FaultSweep(net_a, engine=eng_a).single_fault_universe()
-            )
-            misses_before = STORE.misses
-            kb = KernelBackend(eng_b.compiled, vectorized=eng_b.vectorized)
-            universe_b = FaultSweep(
-                net_b, engine=eng_b
-            ).single_fault_universe()
-            assert kb.sweep_statuses(universe_b) == scalar_statuses(
-                eng_b, universe_b
-            )
-            assert STORE.misses > misses_before
-        finally:
-            STORE.clear()
+        ka = KernelBackend(eng_a.compiled)
+        ka.sweep_statuses(
+            FaultSweep(net_a, engine=eng_a).single_fault_universe()
+        )
+        kb = KernelBackend(eng_b.compiled)
+        universe_b = FaultSweep(net_b, engine=eng_b).single_fault_universe()
+        assert kb.sweep_statuses(universe_b) == scalar_statuses(
+            eng_b, universe_b
+        )
+        assert kb._kernels
+        assert not set(map(id, kb._kernels.values())) & set(
+            map(id, ka._kernels.values())
+        )
 
     def test_disabled_store_stays_in_memory(self):
         net = fig34_network()
         eng = engine_for(net)
         universe = FaultSweep(net, engine=eng).single_fault_universe()
         assert not STORE.enabled
-        kern = KernelBackend(eng.compiled, vectorized=eng.vectorized)
+        kern = KernelBackend(eng.compiled)
         kern.sweep_statuses(universe)
         assert not any(key[0] == "kernel" for key in STORE._entries)
         assert kern.cache_stats()["kernels"] > 0

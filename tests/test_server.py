@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.engine.store import STORE
+from repro.engine.vectorized import HAVE_NUMPY
 from repro.server import (
     CampaignServer,
     RequestError,
@@ -151,6 +152,44 @@ class TestCoalescing:
             return metrics
 
         _run(_with_server(scenario))
+
+    def test_replay_survives_kernel_campaign_and_synth_in_between(self):
+        """The store holds request-level artifacts only: a kernel-rung
+        campaign and a synth body between a campaign and its
+        resubmission must not push the first result out of the LRU."""
+        import random
+
+        from repro.logic.benchfmt import write_bench
+        from repro.workloads.randomlogic import random_mixed_network
+
+        wide = write_bench(
+            random_mixed_network(
+                random.Random(5), n_inputs=13, n_gates=200, n_outputs=6
+            )
+        )
+
+        async def scenario(server):
+            body = {"netlist": BENCH, "transport": "inline"}
+            post = _post_campaign
+            _status, first = await post(server.host, server.port, body)
+            _status, other = await post(
+                server.host,
+                server.port,
+                {"netlist": wide, "transport": "inline"},
+            )
+            _status, synth = await post(
+                server.host, server.port, TestSynthKind.SYNTH_BODY
+            )
+            _status, again = await post(server.host, server.port, body)
+            return first[-1], other[-1], synth[-1], again[-1]
+
+        first, other, synth, again = _run(_with_server(scenario))
+        assert other["backend"] == ("kernel" if HAVE_NUMPY else "bitmask")
+        assert synth["kind"] == "synth" and synth["replayed"] is False
+        assert first["replayed"] is False
+        assert again["replayed"] is True
+        for key in ("faults", "detected", "silent", "dangerous"):
+            assert again[key] == first[key]
 
     def test_different_requests_do_not_coalesce(self):
         body_a = {"netlist": BENCH, "transport": "inline"}

@@ -21,6 +21,7 @@ from repro.engine import (
     CancelToken,
     CheckpointError,
     FaultSweep,
+    HAVE_NUMPY,
     universe_fingerprint,
 )
 from repro.engine import supervisor as supervisor_mod
@@ -143,7 +144,9 @@ class TestChaosWorkerFailures:
         assert _statuses(result) == reference
         report = sweep.last_report
         assert any(d.to == "serial" for d in report.degradations)
-        assert sweep.last_sweep_backend in ("vectorized", "fallback")
+        assert sweep.last_sweep_backend == (
+            "kernel" if HAVE_NUMPY else "bitmask"
+        )
         assert report.chunks_completed + report.chunks_resumed == (
             report.chunks_total
         )
@@ -167,12 +170,15 @@ class TestChaosWorkerFailures:
             report.chunks_total
         )
 
+    @pytest.mark.skipif(
+        not HAVE_NUMPY, reason="without NumPy bitmask is the only rung"
+    )
     def test_block_backend_broken_degrades_to_scalar(self, adder):
         sweep = fresh_sweep(adder)
         universe = sweep.single_fault_universe()[:24]
         reference = [sweep.classify(f) for f in universe]
         with sabotage_campaign("block-backend-broken"):
-            result = sweep.sweep(universe, backend="vectorized")
+            result = sweep.sweep(universe, backend="kernel")
         assert _statuses(result) == reference
         report = sweep.last_report
         assert any(

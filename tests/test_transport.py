@@ -251,19 +251,25 @@ class TestArtifactStore:
             one.compiled
         )
 
-    def test_enabled_store_shares_baseline_derivation(self):
+    def test_enabled_store_keeps_no_baselines(self):
+        """Baselines are per-engine state (engines are shared per
+        network), never store entries: the store keeps only
+        request-level artifacts."""
         text = "INPUT(a)\nINPUT(b)\ng = AND(a, b)\nOUTPUT(g)\n"
         one = NetworkEngine(parse_bench(text, name="one"))
         two = NetworkEngine(parse_bench(text, name="two"))
         previous = STORE.enabled
         STORE.enabled = True
+        STORE.clear()
         try:
             first = one.bitmask.baseline()
             second = two.bitmask.baseline()
+            assert not STORE._entries
         finally:
             STORE.enabled = previous
             STORE.clear()
-        assert second is first  # same tuple object: one derivation
+        assert second == first
+        assert one.bitmask.baseline() is first  # cached per engine
 
 
 class TestBaselineIsolation:
